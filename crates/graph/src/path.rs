@@ -77,6 +77,14 @@ impl Path {
         })
     }
 
+    /// Assembles a path whose node and link sequences the caller already
+    /// knows to be a simple, adjacent walk (the path searches, which build
+    /// them from a search tree).
+    pub(crate) fn from_parts(nodes: Vec<NodeId>, links: Vec<LinkId>) -> Self {
+        debug_assert!(nodes.len() >= 2 && links.len() + 1 == nodes.len());
+        Path { nodes, links }
+    }
+
     /// Node sequence, source first.
     #[must_use]
     pub fn nodes(&self) -> &[NodeId] {

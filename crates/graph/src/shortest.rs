@@ -1,139 +1,171 @@
-//! Shortest paths: Dijkstra and Yen's k-shortest loopless paths.
+//! Shortest paths by hop count: breadth-first search and Yen's k-shortest
+//! loopless paths.
 //!
 //! Monitor pairs use these to build candidate measurement-path pools. Yen's
 //! algorithm provides path *diversity*, which identifiability-driven path
 //! selection needs (distinct paths must cover independent link
 //! combinations).
+//!
+//! # Tie-breaking
+//!
+//! Every search is a unit-weight BFS that expands each level in ascending
+//! node id and keeps the *first* discoverer of a node as its predecessor.
+//! That is exactly the tree a `(distance, node id)`-ordered Dijkstra with
+//! strict relaxation builds: Dijkstra pops a level in ascending id, the
+//! first popped neighbour sets a node's distance, and no later neighbour on
+//! the same level improves it strictly. So among equal-length paths the
+//! search returns the one whose every node has the smallest-id
+//! predecessor, and Yen's output — path for path — is the one a heap
+//! Dijkstra would give, at a fraction of the cost.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::{Graph, GraphError, LinkId, NodeId, Path};
 
-use crate::{Graph, GraphError, NodeId, Path};
-
-/// Max-heap entry flipped into a min-heap by reversing the comparison.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// Scratch state for repeated searches on one graph, reused across every
+/// spur search of a [`yen_k_shortest`] call so no search allocates.
+struct Bfs {
+    /// `seen[v] == stamp` iff `v` was discovered — or banned — in the
+    /// current search; bumping `stamp` clears every mark at once.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Predecessor node and connecting link of each discovered node.
+    pred: Vec<(NodeId, LinkId)>,
+    banned_links: Vec<bool>,
+    /// Links set in `banned_links`, so a reset clears only those.
+    banned_list: Vec<LinkId>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smallest distance first; ties by node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Dijkstra with optional per-link weights (unit weights when `None`) and
-/// optional node/link bans (used internally by Yen's spur computation).
-///
-/// Returns the shortest path from `source` to `target`, or `None` if
-/// unreachable.
-///
-/// # Errors
-///
-/// Returns [`GraphError::UnknownNode`] for missing endpoints, or
-/// [`GraphError::InvalidPath`] if `weights` has the wrong length or a
-/// negative entry.
-pub fn dijkstra_with_bans(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    weights: Option<&[f64]>,
-    banned_nodes: &[bool],
-    banned_links: &[bool],
-) -> Result<Option<Path>, GraphError> {
-    let _ = graph.label(source)?;
-    let _ = graph.label(target)?;
-    if let Some(w) = weights {
-        if w.len() != graph.num_links() {
-            return Err(GraphError::InvalidPath {
-                reason: format!(
-                    "weights length {} does not match link count {}",
-                    w.len(),
-                    graph.num_links()
-                ),
-            });
-        }
-        if w.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-            return Err(GraphError::InvalidPath {
-                reason: "link weights must be finite and non-negative".into(),
-            });
+impl Bfs {
+    fn new(graph: &Graph) -> Self {
+        Bfs {
+            seen: vec![0; graph.num_nodes()],
+            stamp: 0,
+            pred: vec![(NodeId(0), LinkId(0)); graph.num_nodes()],
+            banned_links: vec![false; graph.num_links()],
+            banned_list: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
         }
     }
-    if banned_nodes.get(source.index()).copied().unwrap_or(false)
-        || banned_nodes.get(target.index()).copied().unwrap_or(false)
-    {
-        return Ok(None);
+
+    /// Starts a new search: forgets the previous discoveries and bans.
+    fn reset(&mut self) {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        for l in self.banned_list.drain(..) {
+            self.banned_links[l.index()] = false;
+        }
     }
 
-    let n = graph.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    dist[source.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
+    fn ban_node(&mut self, node: NodeId) {
+        self.seen[node.index()] = self.stamp;
+    }
 
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
+    fn ban_link(&mut self, link: LinkId) {
+        if !self.banned_links[link.index()] {
+            self.banned_links[link.index()] = true;
+            self.banned_list.push(link);
         }
-        done[u.index()] = true;
-        if u == target {
-            break;
+    }
+
+    /// Runs the search from `source` until `target` (a different node) is
+    /// discovered; returns `false` if it is unreachable or either endpoint
+    /// is banned.
+    fn search(&mut self, graph: &Graph, source: NodeId, target: NodeId) -> bool {
+        let Bfs {
+            seen,
+            stamp,
+            pred,
+            banned_links,
+            frontier,
+            next,
+            ..
+        } = self;
+        let stamp = *stamp;
+        if seen[source.index()] == stamp || seen[target.index()] == stamp {
+            return false;
         }
-        for &(v, l) in graph.neighbors(u)? {
-            if done[v.index()]
-                || banned_nodes.get(v.index()).copied().unwrap_or(false)
-                || banned_links.get(l.index()).copied().unwrap_or(false)
-            {
-                continue;
+        seen[source.index()] = stamp;
+        frontier.clear();
+        frontier.push(source);
+        while !frontier.is_empty() {
+            next.clear();
+            for &u in frontier.iter() {
+                let adjacent = graph
+                    .neighbors(u)
+                    .expect("searched nodes belong to the graph");
+                for &(v, l) in adjacent {
+                    if seen[v.index()] == stamp || banned_links[l.index()] {
+                        continue;
+                    }
+                    seen[v.index()] = stamp;
+                    pred[v.index()] = (u, l);
+                    if v == target {
+                        return true;
+                    }
+                    next.push(v);
+                }
             }
-            let w = weights.map_or(1.0, |ws| ws[l.index()]);
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
+            next.sort_unstable();
+            std::mem::swap(frontier, next);
         }
+        false
     }
 
-    if dist[target.index()].is_infinite() {
-        return Ok(None);
-    }
-    // Reconstruct node sequence.
-    let mut nodes = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = prev[cur.index()].expect("reached nodes have predecessors");
+    /// Appends the path the last successful search found, `source` to
+    /// `target`, to `nodes` and `links`.
+    fn trace(
+        &self,
+        source: NodeId,
+        target: NodeId,
+        nodes: &mut Vec<NodeId>,
+        links: &mut Vec<LinkId>,
+    ) {
+        let (n0, l0) = (nodes.len(), links.len());
+        let mut cur = target;
         nodes.push(cur);
+        while cur != source {
+            let (u, l) = self.pred[cur.index()];
+            links.push(l);
+            nodes.push(u);
+            cur = u;
+        }
+        nodes[n0..].reverse();
+        links[l0..].reverse();
     }
-    nodes.reverse();
-    Ok(Some(Path::from_nodes(graph, &nodes)?))
+
+    fn shortest_path(
+        &mut self,
+        graph: &Graph,
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<Option<Path>, GraphError> {
+        let _ = graph.label(source)?;
+        let _ = graph.label(target)?;
+        if source == target {
+            // A single node is not a path: report it as `from_nodes` does.
+            return Path::from_nodes(graph, &[source]).map(Some);
+        }
+        self.reset();
+        if !self.search(graph, source, target) {
+            return Ok(None);
+        }
+        let (mut nodes, mut links) = (Vec::new(), Vec::new());
+        self.trace(source, target, &mut nodes, &mut links);
+        Ok(Some(Path::from_parts(nodes, links)))
+    }
 }
 
 /// Shortest path by hop count (unit weights).
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::UnknownNode`] for missing endpoints.
+/// Returns [`GraphError::UnknownNode`] for missing endpoints and
+/// [`GraphError::InvalidPath`] if `source == target`.
 ///
 /// ```
 /// use tomo_graph::{Graph, shortest};
@@ -156,15 +188,17 @@ pub fn shortest_path(
     source: NodeId,
     target: NodeId,
 ) -> Result<Option<Path>, GraphError> {
-    dijkstra_with_bans(graph, source, target, None, &[], &[])
+    Bfs::new(graph).shortest_path(graph, source, target)
 }
 
 /// Yen's algorithm: up to `k` shortest loopless paths from `source` to
-/// `target` by hop count, in non-decreasing length order.
+/// `target` by hop count, in non-decreasing length order (ties by node
+/// sequence).
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::UnknownNode`] for missing endpoints.
+/// Returns [`GraphError::UnknownNode`] for missing endpoints and
+/// [`GraphError::InvalidPath`] if `source == target`.
 pub fn yen_k_shortest(
     graph: &Graph,
     source: NodeId,
@@ -175,7 +209,8 @@ pub fn yen_k_shortest(
     if k == 0 {
         return Ok(result);
     }
-    let Some(first) = shortest_path(graph, source, target)? else {
+    let mut bfs = Bfs::new(graph);
+    let Some(first) = bfs.shortest_path(graph, source, target)? else {
         return Ok(result);
     };
     result.push(first);
@@ -184,39 +219,35 @@ pub fn yen_k_shortest(
     let mut candidates: Vec<Path> = Vec::new();
 
     while result.len() < k {
-        let last = result.last().expect("nonempty").clone();
+        let last = &result[result.len() - 1];
         // Each node of the previous path (except the final node) is a spur.
         for spur_idx in 0..last.nodes().len() - 1 {
             let spur_node = last.nodes()[spur_idx];
             let root_nodes = &last.nodes()[..=spur_idx];
+            bfs.reset();
 
-            let mut banned_links = vec![false; graph.num_links()];
-            let mut banned_nodes = vec![false; graph.num_nodes()];
-
-            // Ban the next link of every accepted/candidate path sharing
-            // this root.
-            for p in result.iter() {
+            // Ban the next link of every accepted path sharing this root.
+            for p in &result {
                 if p.nodes().len() > spur_idx && p.nodes()[..=spur_idx] == *root_nodes {
                     if let Some(&l) = p.links().get(spur_idx) {
-                        banned_links[l.index()] = true;
+                        bfs.ban_link(l);
                     }
                 }
             }
             // Ban root nodes except the spur node (loopless requirement).
             for &n in &root_nodes[..spur_idx] {
-                banned_nodes[n.index()] = true;
+                bfs.ban_node(n);
             }
 
-            if let Some(spur_path) =
-                dijkstra_with_bans(graph, spur_node, target, None, &banned_nodes, &banned_links)?
-            {
-                // Total path = root + spur.
+            if bfs.search(graph, spur_node, target) {
+                // Total path = root + spur; simple because the spur search
+                // never enters a root node.
                 let mut nodes = root_nodes[..spur_idx].to_vec();
-                nodes.extend_from_slice(spur_path.nodes());
-                if let Ok(total) = Path::from_nodes(graph, &nodes) {
-                    if !result.contains(&total) && !candidates.contains(&total) {
-                        candidates.push(total);
-                    }
+                let mut links = last.links()[..spur_idx].to_vec();
+                bfs.trace(spur_node, target, &mut nodes, &mut links);
+                let total = Path::from_parts(nodes, links);
+                if !result.contains(&total) && !candidates.contains(&total) {
+                    candidates.push(total);
                 }
             }
         }
@@ -265,25 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_shortest_avoids_heavy_link() {
-        let (g, ids) = diamond();
-        let mut w = vec![1.0; g.num_links()];
-        w[4] = 100.0; // direct a-d is expensive now
-        let p = dijkstra_with_bans(&g, ids[0], ids[3], Some(&w), &[], &[])
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.num_links(), 2);
-    }
-
-    #[test]
-    fn weights_validated() {
-        let (g, ids) = diamond();
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], Some(&[1.0]), &[], &[]).is_err());
-        let neg = vec![-1.0; g.num_links()];
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], Some(&neg), &[], &[]).is_err());
-    }
-
-    #[test]
     fn unreachable_returns_none() {
         let mut g = Graph::new();
         let a = g.add_node("a");
@@ -291,29 +303,95 @@ mod tests {
         assert!(shortest_path(&g, a, b).unwrap().is_none());
     }
 
+    /// Runs one banned search through the scratch state Yen uses.
+    fn banned_search(
+        g: &Graph,
+        source: NodeId,
+        target: NodeId,
+        nodes: &[NodeId],
+        links: &[LinkId],
+    ) -> Option<Vec<NodeId>> {
+        let mut bfs = Bfs::new(g);
+        bfs.reset();
+        for &l in links {
+            bfs.ban_link(l);
+        }
+        for &n in nodes {
+            bfs.ban_node(n);
+        }
+        if !bfs.search(g, source, target) {
+            return None;
+        }
+        let (mut path, mut hops) = (Vec::new(), Vec::new());
+        bfs.trace(source, target, &mut path, &mut hops);
+        assert_eq!(Path::from_nodes(g, &path).unwrap().links(), &hops[..]);
+        Some(path)
+    }
+
     #[test]
     fn banned_node_blocks_path() {
         let (g, ids) = diamond();
-        let mut banned_nodes = vec![false; g.num_nodes()];
-        banned_nodes[ids[1].index()] = true; // ban b
-        let mut banned_links = vec![false; g.num_links()];
-        banned_links[4] = true; // ban direct a-d
-        let p = dijkstra_with_bans(&g, ids[0], ids[3], None, &banned_nodes, &banned_links)
-            .unwrap()
-            .unwrap();
-        // Must go a-c-d.
-        assert_eq!(p.num_links(), 2);
-        assert!(p.contains_node(ids[2]));
+        // Ban b and the direct a-d link: must go a-c-d.
+        let p = banned_search(&g, ids[0], ids[3], &[ids[1]], &[LinkId(4)]).unwrap();
+        assert_eq!(p, vec![ids[0], ids[2], ids[3]]);
     }
 
     #[test]
     fn banned_endpoint_returns_none() {
         let (g, ids) = diamond();
-        let mut banned = vec![false; g.num_nodes()];
-        banned[ids[0].index()] = true;
-        assert!(dijkstra_with_bans(&g, ids[0], ids[3], None, &banned, &[])
-            .unwrap()
-            .is_none());
+        assert!(banned_search(&g, ids[0], ids[3], &[ids[0]], &[]).is_none());
+        assert!(banned_search(&g, ids[0], ids[3], &[ids[3]], &[]).is_none());
+    }
+
+    #[test]
+    fn reset_clears_bans_and_discoveries() {
+        let (g, ids) = diamond();
+        let mut bfs = Bfs::new(&g);
+        bfs.reset();
+        bfs.ban_link(LinkId(4));
+        bfs.ban_node(ids[1]);
+        bfs.ban_node(ids[2]);
+        assert!(!bfs.search(&g, ids[0], ids[3]));
+        bfs.reset();
+        assert!(bfs.banned_list.is_empty());
+        assert!(bfs.search(&g, ids[0], ids[3]));
+        let (mut nodes, mut links) = (Vec::new(), Vec::new());
+        bfs.trace(ids[0], ids[3], &mut nodes, &mut links);
+        assert_eq!(links, vec![LinkId(4)]);
+    }
+
+    #[test]
+    fn equal_length_ties_go_to_the_smallest_id_predecessor() {
+        // s=0 reaches t=5 in three hops through 1-3 or 2-4; node 4 is
+        // listed before node 3 in t's adjacency, and 2 before 1 in s's,
+        // yet the search must keep the smallest-id discoverer on each
+        // level: s-1-3-t.
+        let mut g = Graph::with_nodes(6);
+        let n = |i| NodeId(i);
+        g.add_link(n(0), n(2)).unwrap();
+        g.add_link(n(0), n(1)).unwrap();
+        g.add_link(n(2), n(4)).unwrap();
+        g.add_link(n(1), n(3)).unwrap();
+        g.add_link(n(4), n(5)).unwrap();
+        g.add_link(n(3), n(5)).unwrap();
+        // 2 also reaches 3, so 3 is discovered by 1 (id order), not 2.
+        g.add_link(n(2), n(3)).unwrap();
+        let p = shortest_path(&g, n(0), n(5)).unwrap().unwrap();
+        assert_eq!(p.nodes(), &[n(0), n(1), n(3), n(5)]);
+    }
+
+    #[test]
+    fn source_equal_to_target_is_an_error() {
+        let (g, ids) = diamond();
+        assert!(matches!(
+            shortest_path(&g, ids[0], ids[0]),
+            Err(GraphError::InvalidPath { .. })
+        ));
+        assert!(yen_k_shortest(&g, ids[0], ids[0], 3).is_err());
+        assert!(matches!(
+            shortest_path(&g, ids[0], NodeId(99)),
+            Err(GraphError::UnknownNode { .. })
+        ));
     }
 
     #[test]

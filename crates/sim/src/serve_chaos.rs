@@ -29,7 +29,7 @@
 //! the latency numbers in the artifact are wall-clock.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -168,11 +168,16 @@ fn make_batches(system: &TomographySystem, count: usize) -> Result<Vec<Vec<Probe
         .collect())
 }
 
+/// A journal path no other sweep in this process shares: concurrent runs
+/// with the same seed (parallel tests) would otherwise replay each
+/// other's frames.
 fn temp_journal(seed: u64, point: usize) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "tomo-serve-chaos-{}-{seed}-{point}.journal",
-        std::process::id()
+        "tomo-serve-chaos-{}-{}-{seed}-{point}.journal",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_file(&p);
     p

@@ -199,7 +199,9 @@ fn reference_bits(
 fn query_hammer(server: &Server, stop: &AtomicBool) -> Result<Vec<f64>, String> {
     let mut latencies = Vec::new();
     let mut last_version = 0u64;
-    while !stop.load(Ordering::Acquire) {
+    // Query first, then test `stop`: every point issues at least one
+    // query however fast its ingest finishes.
+    loop {
         let snap = server.snapshot();
         if !snap.self_check() {
             return Err(format!("torn snapshot at version {}", snap.version()));
@@ -214,9 +216,11 @@ fn query_hammer(server: &Server, stop: &AtomicBool) -> Result<Vec<f64>, String> 
         let start = Instant::now();
         let _ = server.query();
         latencies.push(start.elapsed().as_secs_f64() * 1e6);
+        if stop.load(Ordering::Acquire) {
+            return Ok(latencies);
+        }
         std::thread::sleep(Duration::from_millis(1));
     }
-    Ok(latencies)
 }
 
 struct ClientTally {
