@@ -78,10 +78,14 @@ pub fn random_placement<R: Rng + ?Sized>(
     let mut order: Vec<NodeId> = graph.nodes().collect();
     order.shuffle(rng);
     let budget = config.max_monitors.unwrap_or(graph.num_nodes());
+    let extra = ((num_links as f64) * config.redundancy_fraction).floor() as usize;
 
     let mut monitors: Vec<NodeId> = Vec::new();
     let mut tracker = IncrementalRank::new(num_links);
     let mut chosen: Vec<Path> = Vec::new();
+    // Redundant rows are the first `extra` rejected paths in discovery
+    // order; later rejects are dropped at once instead of held (a
+    // 100-node system rejects tens of thousands).
     let mut skipped: Vec<Path> = Vec::new();
 
     for &candidate in order.iter().take(budget) {
@@ -92,7 +96,7 @@ pub fn random_placement<R: Rng + ?Sized>(
             for p in paths {
                 if tracker.try_add(&path_row(&p, num_links)) {
                     chosen.push(p);
-                } else {
+                } else if skipped.len() < extra {
                     skipped.push(p);
                 }
             }
@@ -114,8 +118,7 @@ pub fn random_placement<R: Rng + ?Sized>(
         });
     }
 
-    let extra = ((num_links as f64) * config.redundancy_fraction).floor() as usize;
-    chosen.extend(skipped.into_iter().take(extra));
+    chosen.extend(skipped);
     TomographySystem::new(graph.clone(), monitors, chosen)
 }
 

@@ -27,7 +27,10 @@
 //! [`tomo_obs::TraceContext`] is captured before the fan-out and
 //! installed in every worker, and each task runs inside a `trial` span —
 //! so the trace journal sees one connected tree
-//! (`sim.fig7 → par.worker → trial → …`) regardless of thread count.
+//! (`sim.fig8 → par.worker → trial → …`) regardless of thread count.
+//! [`Executor::try_map_groups`] is the variant for tasks that each run a
+//! group of trials (fig. 7's per-system tasks); those open the `trial`
+//! spans themselves, one per trial.
 
 #![forbid(unsafe_code)]
 
@@ -174,6 +177,28 @@ impl Executor {
         E: Send,
         F: Fn(usize) -> Result<T, E> + Sync,
     {
+        self.try_map_groups(n, |i| {
+            let _trial = tomo_obs::tracing_enabled().then(|| tomo_obs::span("trial"));
+            f(i)
+        })
+    }
+
+    /// [`try_map`](Executor::try_map) for tasks that each run a *group*
+    /// of trials in order (fig. 7 places one system per task and runs
+    /// its trials). No per-task `trial` span is opened: the task opens
+    /// one around each of its trials when tracing is on, so a trace
+    /// still holds one `trial` span per Monte-Carlo trial. Seeding,
+    /// ordering, error and panic semantics are those of `try_map`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-index error produced by `f`.
+    pub fn try_map_groups<T, E, F>(&self, n: usize, f: F) -> Result<Vec<T>, E>
+    where
+        T: Send,
+        E: Send,
+        F: Fn(usize) -> Result<T, E> + Sync,
+    {
         BATCHES.inc();
         TASKS.add(n as u64);
         let workers = self.threads.min(n.max(1));
@@ -183,13 +208,9 @@ impl Executor {
         // installing this context re-parents their spans under the
         // caller's (same hand-off discipline as derive_seed for RNG).
         let ctx = tomo_obs::TraceContext::current();
-        let run_task = |i: usize| {
-            let _trial = tomo_obs::tracing_enabled().then(|| tomo_obs::span("trial"));
-            f(i)
-        };
         if workers == 1 {
             WORKER_TASKS.record(n as f64);
-            return (0..n).map(run_task).collect();
+            return (0..n).map(f).collect();
         }
 
         let cursor = AtomicUsize::new(0);
@@ -206,7 +227,7 @@ impl Executor {
                 if i >= n {
                     break;
                 }
-                match catch_unwind(AssertUnwindSafe(|| run_task(i))) {
+                match catch_unwind(AssertUnwindSafe(|| f(i))) {
                     Ok(Ok(v)) => done.push((i, v)),
                     Ok(Err(e)) => {
                         failed.store(true, Ordering::Relaxed);
@@ -557,6 +578,14 @@ mod tests {
         tomo_obs::set_tracing(true);
         let root = tomo_obs::span("par.test.root");
         Executor::new(3).map(8, |i| i);
+        // Grouped tasks open their own trial spans and get none per task.
+        let groups: Result<Vec<usize>, ()> = Executor::new(3).try_map_groups(2, |g| {
+            for _ in 0..4 {
+                let _trial = tomo_obs::span("trial");
+            }
+            Ok(g)
+        });
+        assert_eq!(groups, Ok(vec![0, 1]));
         drop(root);
         tomo_obs::set_tracing(false);
 
@@ -590,7 +619,10 @@ mod tests {
             .iter()
             .filter(|&&(_, parent, ref n)| n == "trial" && worker_ids.contains(&parent))
             .count();
-        assert_eq!(trials, 8, "one trial span per task, parented to a worker");
+        assert_eq!(
+            trials, 16,
+            "one trial span per map task and per grouped trial, parented to a worker"
+        );
         tomo_obs::reset_journal();
     }
 }

@@ -68,76 +68,78 @@ pub struct Fig7Result {
     pub wireless: Fig7Series,
 }
 
-fn run_family(
+/// Places one system of `kind` (instance `s`), warms its estimator and
+/// runs its trials in trial order; returns the usable trials.
+fn run_system(
     kind: NetworkKind,
+    s: usize,
     config: &Fig7Config,
     master_seed: u64,
-    exec: &Executor,
     warm: Option<&WarmStart>,
-) -> Result<Fig7Series, SimError> {
-    let scenario = AttackScenario::paper_defaults();
-    let delay_model = params::default_delay_model();
-    let mut trials: Vec<ChosenVictimTrial> = Vec::new();
-
-    for s in 0..config.num_systems {
-        // Separate streams per family and instance.
-        let sys_seed = master_seed
-            .wrapping_mul(1_000_003)
-            .wrapping_add(s as u64)
-            .wrapping_add(match kind {
-                NetworkKind::Wireline => 0,
-                NetworkKind::Wireless => 500_000,
-            });
+) -> Result<Vec<ChosenVictimTrial>, SimError> {
+    // Separate streams per family and instance.
+    let sys_seed = master_seed
+        .wrapping_mul(1_000_003)
+        .wrapping_add(s as u64)
+        .wrapping_add(match kind {
+            NetworkKind::Wireline => 0,
+            NetworkKind::Wireless => 500_000,
+        });
+    let system = {
+        let _span = tomo_obs::span("sim.fig7.system");
         let system = build_system(kind, sys_seed)?;
         system.warm_estimator_cache()?;
-        let trial_seed = sys_seed ^ 0xabcd_ef01;
-        let outcomes = exec.try_map(
-            config.trials_per_system,
-            |t| -> Result<_, tomo_attack::AttackError> {
-                let stream_seed = derive_seed(trial_seed, t as u64);
-                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
-                let k = rng.gen_range(1..=config.max_attackers.max(1));
-                // The detailed variant draws the identical RNG sequence; the
-                // extra context feeds trace provenance and is dropped below.
-                let detail = chosen_victim_trial_detailed(
-                    &system,
-                    &scenario,
-                    &delay_model,
-                    k,
-                    warm,
-                    &mut rng,
-                )?;
-                if tomo_obs::tracing_enabled() {
-                    tomo_obs::record_trial(tomo_obs::TrialProvenance {
-                        experiment: format!("fig7.{kind}.s{s}"),
-                        trial: t as u64,
-                        seed: stream_seed,
-                        warm: detail.as_ref().and_then(|d| d.warm_outcome),
-                        success: detail.as_ref().map(|d| d.trial.success),
-                        ..tomo_obs::TrialProvenance::default()
-                    });
-                }
-                Ok(detail.map(|d| d.trial))
-            },
-        )?;
-        trials.extend(outcomes.into_iter().flatten());
+        system
+    };
+    let scenario = AttackScenario::paper_defaults();
+    let delay_model = params::default_delay_model();
+    let trial_seed = sys_seed ^ 0xabcd_ef01;
+    let mut trials = Vec::with_capacity(config.trials_per_system);
+    for t in 0..config.trials_per_system {
+        let _trial = tomo_obs::tracing_enabled().then(|| tomo_obs::span("trial"));
+        let stream_seed = derive_seed(trial_seed, t as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
+        let k = rng.gen_range(1..=config.max_attackers.max(1));
+        // The detailed variant draws the identical RNG sequence; the
+        // extra context feeds trace provenance and is dropped below.
+        let detail =
+            chosen_victim_trial_detailed(&system, &scenario, &delay_model, k, warm, &mut rng)?;
+        if tomo_obs::tracing_enabled() {
+            tomo_obs::record_trial(tomo_obs::TrialProvenance {
+                experiment: format!("fig7.{kind}.s{s}"),
+                trial: t as u64,
+                seed: stream_seed,
+                warm: detail.as_ref().and_then(|d| d.warm_outcome),
+                success: detail.as_ref().map(|d| d.trial.success),
+                ..tomo_obs::TrialProvenance::default()
+            });
+        }
+        trials.extend(detail.map(|d| d.trial));
     }
-    Ok(Fig7Series {
-        kind: kind.to_string(),
-        bins: RatioBins::from_trials(&trials, config.bins),
-        trials: trials.len(),
-    })
+    Ok(trials)
 }
 
-/// Runs the Fig. 7 experiment, fanning trials out over `exec`.
+/// Folds one family's per-system trials, in system order, into its curve.
+fn series(kind: NetworkKind, systems: &[Vec<ChosenVictimTrial>], bins: usize) -> Fig7Series {
+    let trials: Vec<ChosenVictimTrial> = systems.concat();
+    Fig7Series {
+        kind: kind.to_string(),
+        bins: RatioBins::from_trials(&trials, bins),
+        trials: trials.len(),
+    }
+}
+
+/// Runs the Fig. 7 experiment, fanning systems out over `exec`.
 ///
-/// Each trial draws from its own `(seed, trial)`-derived RNG stream and
-/// results are merged in trial order, so the output is bit-identical for
+/// Each (family, system) pair is one task — wireline systems first —
+/// that places the system from its own seed and runs its trials in
+/// order, each from its own `(system seed, trial)`-derived RNG stream.
+/// Results are folded in task order, so the output is bit-identical for
 /// every thread count.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on substrate failure.
+/// Returns [`SimError`] on substrate failure (the lowest-index task's).
 pub fn run(seed: u64, config: &Fig7Config, exec: &Executor) -> Result<Fig7Result, SimError> {
     let _span = tomo_obs::span("sim.fig7");
     // One simplex basis cache across both families, shared by every
@@ -148,11 +150,21 @@ pub fn run(seed: u64, config: &Fig7Config, exec: &Executor) -> Result<Fig7Result
     // warm-started solves leave the artifact byte-identical;
     // TOMO_LP_WARM=0 forces the cold path for A/B runs.
     let warm = warm_enabled().then(WarmStart::new);
+    let n = config.num_systems;
+    let per_system = exec.try_map_groups(2 * n, |task| {
+        let kind = if task < n {
+            NetworkKind::Wireline
+        } else {
+            NetworkKind::Wireless
+        };
+        run_system(kind, task % n, config, seed, warm.as_ref())
+    })?;
+    let (wireline, wireless) = per_system.split_at(n);
     Ok(Fig7Result {
         seed,
         config: *config,
-        wireline: run_family(NetworkKind::Wireline, config, seed, exec, warm.as_ref())?,
-        wireless: run_family(NetworkKind::Wireless, config, seed, exec, warm.as_ref())?,
+        wireline: series(NetworkKind::Wireline, wireline, config.bins),
+        wireless: series(NetworkKind::Wireless, wireless, config.bins),
     })
 }
 
@@ -233,8 +245,10 @@ mod tests {
     fn deterministic_per_seed() {
         let a = run(4, &small_config(), &Executor::single_threaded()).unwrap();
         let b = run(4, &small_config(), &Executor::new(4)).unwrap();
-        assert_eq!(a.wireline.bins.successes, b.wireline.bins.successes);
-        assert_eq!(a.wireless.bins.counts, b.wireless.bins.counts);
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
     }
 
     #[test]

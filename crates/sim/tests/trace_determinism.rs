@@ -58,6 +58,15 @@ fn events(trace: &serde_json::Value) -> &[serde_json::Value] {
     }
 }
 
+/// Number of complete (`"ph": "X"`) spans named `name`.
+fn span_count(trace: &serde_json::Value, name: &str) -> usize {
+    events(trace)
+        .iter()
+        .filter(|e| e.get("ph").and_then(serde_json::Value::as_str) == Some("X"))
+        .filter(|e| e.get("name").and_then(serde_json::Value::as_str) == Some(name))
+        .count()
+}
+
 /// Provenance identity of one trial, independent of scheduling: the
 /// instant-event name carries `experiment` + trial index, args carry the
 /// derived seed and outcome fields. Timestamps and tids are excluded.
@@ -110,6 +119,14 @@ fn traced_runs_are_identical_across_thread_counts() {
     assert_eq!(baseline_provenance.len(), 80, "one record per trial");
 
     for (threads, run) in &runs {
+        // One span per Monte-Carlo trial and one per placed system,
+        // however the systems were scheduled onto workers.
+        assert_eq!(span_count(&run.trace, "trial"), 80, "threads={threads}");
+        assert_eq!(
+            span_count(&run.trace, "sim.fig7.system"),
+            2,
+            "threads={threads}"
+        );
         assert_eq!(
             run.artifact, reference,
             "threads={threads}: traced artifact differs from untraced reference"

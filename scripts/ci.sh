@@ -166,7 +166,8 @@ PY
 
 echo "==> tomo-sim trace smoke (fig7 --quick --trace-out)"
 # --trace-out must emit valid Chrome trace-event JSON with one span and
-# one provenance instant per Monte-Carlo trial (fig7 --quick = 80).
+# one provenance instant per Monte-Carlo trial (fig7 --quick = 80), and
+# one sim.fig7.system span per placed system (one per family).
 TRACE_JSON="$(mktemp /tmp/tomo-trace.XXXXXX.json)"
 trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"' EXIT
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 2 \
@@ -175,9 +176,13 @@ python3 - "$TRACE_JSON" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 trials = [e for e in events if e.get("ph") == "X" and e.get("name") == "trial"]
+systems = [e for e in events
+           if e.get("ph") == "X" and e.get("name") == "sim.fig7.system"]
 instants = [e for e in events if e.get("ph") == "i"]
 if len(trials) < 80:
     sys.exit(f"ci: expected >= 80 trial spans, got {len(trials)}")
+if len(systems) != 2:
+    sys.exit(f"ci: expected 2 sim.fig7.system spans, got {len(systems)}")
 if len(instants) < 80:
     sys.exit(f"ci: expected >= 80 provenance instants, got {len(instants)}")
 orphans = [e for e in instants
@@ -188,8 +193,8 @@ keys = {"seed", "warm", "trial"}
 missing = [e for e in instants if not keys <= set(e["args"])]
 if missing:
     sys.exit(f"ci: {len(missing)} provenance instants missing {keys}")
-print(f"ci: trace smoke captured {len(trials)} trial spans and "
-      f"{len(instants)} provenance records")
+print(f"ci: trace smoke captured {len(trials)} trial spans, "
+      f"{len(systems)} system spans and {len(instants)} provenance records")
 PY
 
 echo "==> tomo-sim serve-metrics smoke (live Prometheus scrape mid-run)"

@@ -25,18 +25,28 @@ fn fig9_config() -> fig9::Fig9Config {
     }
 }
 
+/// Fig. 7 fans out one task per (family, system). Three systems per
+/// family give six tasks of uneven cost: more tasks than workers at 2
+/// and 3 threads, fewer tasks than threads at 8.
 #[test]
 fn fig7_artifact_is_byte_identical_across_thread_counts() {
-    let config = fig7_config();
-    let baseline = fig7::run(42, &config, &Executor::single_threaded()).unwrap();
-    let baseline_json = serde_json::to_string(&baseline).unwrap();
-    for threads in [2, 3, 8] {
-        let parallel = fig7::run(42, &config, &Executor::new(threads)).unwrap();
-        assert_eq!(
-            serde_json::to_string(&parallel).unwrap(),
-            baseline_json,
-            "fig7 artifact diverged at {threads} threads"
-        );
+    let multi_system = fig7::Fig7Config {
+        num_systems: 3,
+        trials_per_system: 8,
+        ..fig7_config()
+    };
+    for config in [fig7_config(), multi_system] {
+        let baseline = fig7::run(42, &config, &Executor::single_threaded()).unwrap();
+        let baseline_json = serde_json::to_string(&baseline).unwrap();
+        for threads in [2, 3, 8] {
+            let parallel = fig7::run(42, &config, &Executor::new(threads)).unwrap();
+            assert_eq!(
+                serde_json::to_string(&parallel).unwrap(),
+                baseline_json,
+                "fig7 artifact ({} systems per family) diverged at {threads} threads",
+                config.num_systems
+            );
+        }
     }
 }
 
