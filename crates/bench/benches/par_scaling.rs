@@ -2,8 +2,8 @@
 //! configuration.
 //!
 //! Sweeps worker counts {1, 2, max} over the same seeded workload and
-//! prints a trials/sec line per count, so `cargo bench` doubles as the
-//! speedup report backing `scripts/bench_trajectory.sh`.
+//! prints a trials/sec line per count, so `cargo bench` doubles as a
+//! thread-scaling report.
 
 use std::time::Instant;
 

@@ -1,607 +1,444 @@
-//! `tomo-bench` — performance-regression gate over the committed
-//! `BENCH_*.json` baselines.
+//! `tomo-bench` — records and gates the committed `BENCH_*.json`
+//! baselines.
 //!
 //! ```text
+//! tomo-bench record     [--dir DIR] [--runs N]
 //! tomo-bench regression [--dir DIR] [--threshold FRAC] [--runs N]
 //! ```
 //!
-//! Loads `BENCH_montecarlo.json` from `DIR` (default: the current
-//! directory), re-runs each recorded workload point in-process, and
-//! fails when throughput regresses by more than `FRAC` (default 0.15)
-//! against the committed `trials_per_sec`. When `BENCH_scale.json` is
-//! also present, its smallest sweep point (the sparse Gram + system
-//! build + revised-simplex pipeline at ~1k links) is re-run the same
-//! way and gated on combined sparse-path seconds. When
-//! `BENCH_serve.json` is present, the `tomo-serve` ingest/query
-//! workload is re-run and its p99 query latency gated against both the
-//! committed SLO and the committed tail (with absolute slack, since µs
-//! tails jitter more than throughput). When `BENCH_serve_load.json` is
-//! present, the multi-client serve-load sweep is re-run and gated on
-//! aggregate throughput (>15% regression fails) and on the p99 staying
-//! under the SLO at every client count. Points recorded on more cores
-//! than this machine has are skipped rather than failed, and
-//! `TOMO_BENCH_SKIP=1` bypasses the whole gate — both escape hatches
-//! keep the check honest on smaller CI runners.
+//! Every committed workload is one entry of [`workloads::WORKLOADS`]: a
+//! function that runs it in-process and returns exact counts plus named
+//! lower-is-better stage timings, and a set of checks over the measured
+//! medians. Both subcommands run the same entries `--runs` times (default
+//! 5) and summarize each into a [`Record`]:
+//!
+//! ```text
+//! {workload, seed, cores, runs, counts: {name: int},
+//!  stages: {name: {median, min, max}}, total: {median, min, max}}
+//! ```
+//!
+//! `record` writes each record to `DIR/BENCH_<workload>.json` (default
+//! `DIR`: the current directory). `regression` re-measures every
+//! workload whose file is present and applies one rule to all of them:
+//! the counts must match exactly (otherwise "workload drift"), every check
+//! must hold, and each stage and total median must stay at or below the
+//! committed `max × (1 + FRAC)` (default 0.15). A file recorded on more
+//! cores than this machine has is skipped.
+
+mod workloads;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tomo_par::Executor;
-use tomo_sim::{fig7, scale};
+use serde_json::Value;
 
-/// Workload identity: must match `scripts/bench_trajectory.sh`.
-const BASELINE_FILE: &str = "BENCH_montecarlo.json";
-const SCALE_FILE: &str = "BENCH_scale.json";
-const SERVE_FILE: &str = "BENCH_serve.json";
-const SERVE_LOAD_FILE: &str = "BENCH_serve_load.json";
-/// Absolute slack added to the serve p99 ceiling: sub-millisecond tails
-/// jitter by tens of µs run to run, which a pure fraction would flag.
-const SERVE_P99_SLACK_US: f64 = 250.0;
-const BASELINE_SEED: u64 = 42;
+use workloads::{Workload, SEED, WORKLOADS};
+
 const DEFAULT_THRESHOLD: f64 = 0.15;
-const DEFAULT_RUNS: usize = 3;
+const DEFAULT_RUNS: usize = 5;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Record,
+    Regression,
+}
 
 struct Options {
+    command: Command,
     dir: PathBuf,
     threshold: f64,
     runs: usize,
 }
 
 fn usage() -> String {
-    "usage:\n  tomo-bench regression [--dir DIR] [--threshold FRAC] [--runs N]\n\n\
-     Re-runs the committed BENCH_montecarlo.json workload points (and, when\n\
-     present, BENCH_scale.json's smallest sweep point) and fails on >FRAC\n\
-     (default 0.15) regression. Points needing more cores than available\n\
-     are skipped; TOMO_BENCH_SKIP=1 skips the gate."
+    "usage:\n  tomo-bench record     [--dir DIR] [--runs N]\n  \
+     tomo-bench regression [--dir DIR] [--threshold FRAC] [--runs N]\n\n\
+     record runs every workload N times (default 5) and writes\n\
+     DIR/BENCH_<workload>.json. regression re-runs each committed file's\n\
+     workload and fails on count drift, a failed check, or a median above\n\
+     the committed max x (1 + FRAC) (default 0.15). Files recorded on more\n\
+     cores than available are skipped."
         .to_string()
 }
 
 fn parse_options(argv: &[String]) -> Result<Options, String> {
-    if argv.first().map(String::as_str) != Some("regression") {
-        return Err(usage());
-    }
+    let command = match argv.first().map(String::as_str) {
+        Some("record") => Command::Record,
+        Some("regression") => Command::Regression,
+        _ => return Err(usage()),
+    };
     let mut opts = Options {
+        command,
         dir: PathBuf::from("."),
         threshold: DEFAULT_THRESHOLD,
         runs: DEFAULT_RUNS,
     };
     let mut i = 1;
     while i < argv.len() {
+        let value = || argv.get(i + 1).ok_or(format!("{} needs a value", argv[i]));
         match argv[i].as_str() {
-            "--dir" => {
-                let v = argv.get(i + 1).ok_or("--dir needs a value")?;
-                opts.dir = PathBuf::from(v);
-                i += 2;
-            }
-            "--threshold" => {
-                let v = argv.get(i + 1).ok_or("--threshold needs a value")?;
+            "--dir" => opts.dir = PathBuf::from(value()?),
+            "--threshold" if command == Command::Regression => {
+                let v = value()?;
                 let frac: f64 = v.parse().map_err(|_| format!("bad threshold {v:?}"))?;
                 if !(0.0..1.0).contains(&frac) {
                     return Err("--threshold must be in [0, 1)".to_string());
                 }
                 opts.threshold = frac;
-                i += 2;
             }
             "--runs" => {
-                let v = argv.get(i + 1).ok_or("--runs needs a value")?;
+                let v = value()?;
                 let n: usize = v.parse().map_err(|_| format!("bad run count {v:?}"))?;
                 if n == 0 {
                     return Err("--runs must be at least 1".to_string());
                 }
                 opts.runs = n;
-                i += 2;
             }
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
+        i += 2;
     }
     Ok(opts)
 }
 
-/// One recorded throughput point from the baseline file.
-#[derive(Debug)]
-struct BaselinePoint {
-    threads: usize,
-    trials_per_sec: f64,
-    /// Cores present when the point was recorded (per-point override,
-    /// falling back to the file-level `cores` field).
-    cores: Option<u64>,
+/// Median, minimum and maximum of one lower-is-better timing over runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-#[derive(Debug)]
-struct Baseline {
-    trials: u64,
-    cores: Option<u64>,
-    points: Vec<BaselinePoint>,
-}
+impl Spread {
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let median = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        Spread {
+            median,
+            min: sorted[0],
+            max: sorted[n - 1],
+        }
+    }
 
-fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let root = serde_json::parse_value(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let field_f64 = |v: &serde_json::Value, key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| format!("{}: missing numeric {key:?}", path.display()))
-    };
-    let trials = field_f64(&root, "trials")? as u64;
-    let cores = root.get("cores").and_then(serde_json::Value::as_f64);
-    let points = root
-        .get("points")
-        .and_then(|p| match p {
-            serde_json::Value::Array(items) => Some(items.as_slice()),
-            _ => None,
+    fn to_value(self) -> Value {
+        Value::Object(vec![
+            ("median".into(), Value::Float(self.median)),
+            ("min".into(), Value::Float(self.min)),
+            ("max".into(), Value::Float(self.max)),
+        ])
+    }
+
+    fn from_value(v: &Value, what: &str) -> Result<Spread, String> {
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("{what}: missing numeric {key:?}"))
+        };
+        Ok(Spread {
+            median: field("median")?,
+            min: field("min")?,
+            max: field("max")?,
         })
-        .ok_or_else(|| format!("{}: missing \"points\" array", path.display()))?
+    }
+}
+
+/// One workload measured `runs` times: the single `BENCH_*.json` schema.
+#[derive(Debug, Clone, PartialEq)]
+struct Record {
+    workload: String,
+    seed: u64,
+    cores: u64,
+    runs: u64,
+    counts: Vec<(String, u64)>,
+    stages: Vec<(String, Spread)>,
+    total: Spread,
+}
+
+impl Record {
+    fn count(&self, name: &str) -> u64 {
+        self.counts
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    fn median(&self, stage: &str) -> f64 {
+        self.stages
+            .iter()
+            .find(|(n, _)| n == stage)
+            .map_or(f64::NAN, |(_, s)| s.median)
+    }
+
+    fn to_json(&self) -> String {
+        let root = Value::Object(vec![
+            ("workload".into(), Value::Str(self.workload.clone())),
+            ("seed".into(), Value::UInt(self.seed)),
+            ("cores".into(), Value::UInt(self.cores)),
+            ("runs".into(), Value::UInt(self.runs)),
+            (
+                "counts".into(),
+                Value::Object(
+                    self.counts
+                        .iter()
+                        .map(|(n, v)| (n.clone(), Value::UInt(*v)))
+                        .collect(),
+                ),
+            ),
+            (
+                "stages".into(),
+                Value::Object(
+                    self.stages
+                        .iter()
+                        .map(|(n, s)| (n.clone(), s.to_value()))
+                        .collect(),
+                ),
+            ),
+            ("total".into(), self.total.to_value()),
+        ]);
+        let mut text = serde_json::to_string_pretty(&root).expect("tree-shaped JSON");
+        text.push('\n');
+        text
+    }
+
+    fn load(path: &Path) -> Result<Record, String> {
+        let what = path.display().to_string();
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {what}: {e}"))?;
+        let root = serde_json::parse_value(&text).map_err(|e| format!("{what}: {e}"))?;
+        let field = |key: &str| {
+            root.get(key)
+                .ok_or_else(|| format!("{what}: missing {key:?}"))
+        };
+        let uint = |key: &str| {
+            field(key)?
+                .as_u64()
+                .ok_or_else(|| format!("{what}: {key:?} is not a non-negative integer"))
+        };
+        let object = |key: &str| {
+            field(key)?
+                .as_object()
+                .ok_or_else(|| format!("{what}: {key:?} is not an object"))
+        };
+        Ok(Record {
+            workload: field("workload")?
+                .as_str()
+                .ok_or_else(|| format!("{what}: \"workload\" is not a string"))?
+                .to_string(),
+            seed: uint("seed")?,
+            cores: uint("cores")?,
+            runs: uint("runs")?,
+            counts: object("counts")?
+                .iter()
+                .map(|(n, v)| {
+                    v.as_u64()
+                        .map(|c| (n.clone(), c))
+                        .ok_or_else(|| format!("{what}: count {n:?} is not an integer"))
+                })
+                .collect::<Result<_, _>>()?,
+            stages: object("stages")?
+                .iter()
+                .map(|(n, v)| Ok((n.clone(), Spread::from_value(v, &format!("{what} {n}"))?)))
+                .collect::<Result<_, String>>()?,
+            total: Spread::from_value(field("total")?, &format!("{what} total"))?,
+        })
+    }
+}
+
+/// Runs every workload `runs` times, round-robin, and summarizes each
+/// into a record. Round-robin spreads a short workload's runs over the
+/// whole measurement instead of one burst of a few seconds, so its
+/// recorded spread includes the machine's drift over that window, which
+/// a later regression run meets too.
+fn measure(workloads: &[&Workload], runs: usize, cores: u64) -> Result<Vec<Record>, String> {
+    let mut samples: Vec<Vec<(workloads::Sample, f64)>> =
+        workloads.iter().map(|_| Vec::with_capacity(runs)).collect();
+    for _ in 0..runs {
+        for (workload, out) in workloads.iter().zip(&mut samples) {
+            let start = Instant::now();
+            let sample = (workload.run)().map_err(|e| format!("{}: {e}", workload.name))?;
+            out.push((sample, start.elapsed().as_secs_f64()));
+        }
+    }
+    workloads
         .iter()
-        .map(|p| {
-            Ok(BaselinePoint {
-                threads: field_f64(p, "threads")? as usize,
-                trials_per_sec: field_f64(p, "trials_per_sec")?,
-                cores: p
-                    .get("cores")
-                    .and_then(serde_json::Value::as_f64)
-                    .map(|c| c as u64),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    if points.is_empty() {
-        return Err(format!("{}: no points to check", path.display()));
-    }
-    Ok(Baseline {
-        trials,
-        cores: cores.map(|c| c as u64),
-        points,
-    })
+        .zip(&samples)
+        .map(|(workload, runs)| summarize(workload, runs, cores))
+        .collect()
 }
 
-/// The `tomo-sim run fig7 --quick` workload the baseline records,
-/// re-run in-process: same seed, same config, chosen thread count.
-fn run_workload(threads: usize, runs: usize) -> Result<(f64, u64), String> {
-    let config = fig7::Fig7Config {
-        num_systems: 1,
-        trials_per_system: 40,
-        ..fig7::Fig7Config::default()
-    };
-    let exec = Executor::new(threads);
-    let mut best = f64::INFINITY;
-    let mut trials = 0u64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let result = fig7::run(BASELINE_SEED, &config, &exec).map_err(|e| format!("fig7: {e}"))?;
-        let secs = start.elapsed().as_secs_f64();
-        trials = (result.wireline.trials + result.wireless.trials) as u64;
-        best = best.min(secs);
-    }
-    Ok((best, trials))
-}
-
-/// The smallest committed scale-sweep point, reduced to what the gate
-/// re-measures: identity (links/paths, for drift detection), the
-/// recorded sparse-path seconds, and the cores it was recorded on.
-#[derive(Debug)]
-struct ScaleBaseline {
-    links: u64,
-    paths: u64,
-    sparse_seconds: f64,
-    cores: Option<u64>,
-}
-
-fn load_scale_baseline(path: &Path) -> Result<ScaleBaseline, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let root = serde_json::parse_value(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let first = root
-        .get("points")
-        .and_then(|p| match p {
-            serde_json::Value::Array(items) => items.first(),
-            _ => None,
-        })
-        .ok_or_else(|| format!("{}: missing non-empty \"points\" array", path.display()))?;
-    let field = |key: &str| -> Result<f64, String> {
-        first
-            .get(key)
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| format!("{}: point missing numeric {key:?}", path.display()))
-    };
-    Ok(ScaleBaseline {
-        links: field("links")? as u64,
-        paths: field("paths")? as u64,
-        sparse_seconds: field("sparse_seconds")?,
-        cores: first
-            .get("cores")
-            .and_then(serde_json::Value::as_f64)
-            .map(|c| c as u64)
-            .or_else(|| {
-                root.get("cores")
-                    .and_then(serde_json::Value::as_f64)
-                    .map(|c| c as u64)
-            }),
-    })
-}
-
-/// Re-runs the baseline's smallest sweep point: the full default-config
-/// workload at the 1000-link target (same derived seed as a full sweep,
-/// dense baselines off — the gate times only the sparse path it checks).
-fn run_scale_workload(runs: usize) -> Result<(f64, u64, u64), String> {
-    // Default sweep with the cap lowered, NOT `sweep: vec![1_000]`: the
-    // nested-prefix sweep derives its topology stream from the largest
-    // *configured* target, so only this shape reproduces the committed
-    // baseline's first point byte-for-byte.
-    let gate_config = scale::ScaleConfig {
-        max_links: 1_000,
-        dense_baseline_max_links: 0,
-        ..scale::ScaleConfig::default()
-    };
-    let mut best = f64::INFINITY;
-    let mut identity = (0u64, 0u64);
-    for _ in 0..runs {
-        let result = scale::run(BASELINE_SEED, &gate_config).map_err(|e| format!("scale: {e}"))?;
-        let p = &result.points[0];
-        identity = (p.links as u64, p.paths as u64);
-        let secs =
-            p.gram_sparse_seconds + p.lp_revised_seconds + p.system_build_seconds.unwrap_or(0.0);
-        best = best.min(secs);
-    }
-    Ok((best, identity.0, identity.1))
-}
-
-fn scale_gate(opts: &Options, available: usize) -> Result<bool, String> {
-    let path = opts.dir.join(SCALE_FILE);
-    if !path.exists() {
-        println!("  {SCALE_FILE}: SKIP (not present)");
-        return Ok(false);
-    }
-    let baseline = load_scale_baseline(&path)?;
-    if let Some(cores) = baseline.cores {
-        if cores > available as u64 {
-            println!("  scale: SKIP (baseline recorded on {cores} cores, have {available})");
-            return Ok(false);
-        }
-    }
-    let (secs, links, paths) = run_scale_workload(opts.runs)?;
-    if links != baseline.links || paths != baseline.paths {
-        return Err(format!(
-            "workload drift: baseline point has {}/{} links/paths, re-run produced {links}/{paths} — \
-             regenerate {SCALE_FILE} with scripts/bench_trajectory.sh",
-            baseline.links, baseline.paths
-        ));
-    }
-    // Mirror the throughput gate: fail when the sparse path got slower
-    // by more than the threshold fraction.
-    let ceiling = baseline.sparse_seconds / (1.0 - opts.threshold);
-    let verdict = if secs > ceiling { "FAIL" } else { "ok" };
-    println!(
-        "  scale {links} links: {secs:.3}s sparse path vs baseline {:.3}s (ceiling {ceiling:.3}s) — {verdict}",
-        baseline.sparse_seconds
-    );
-    Ok(secs > ceiling)
-}
-
-/// Cold-vs-warm simplex wall time on the smallest scale point's budget
-/// LP (`lp.simplex.warm` instrumentation path). Warm starts are a cache:
-/// they must never make the stream *slower*. The gate re-solves the same
-/// LP with a populated [`tomo_lp::WarmStart`] and fails only when the
-/// warm solve costs more than 1.5x the cold one — a regression in basis
-/// crash/reuse, not ordinary jitter.
-fn warm_gate(opts: &Options) -> Result<bool, String> {
-    if !tomo_lp::warm_enabled() {
-        println!("  lp warm: SKIP (TOMO_LP_WARM disabled)");
-        return Ok(false);
-    }
-    let lp = scale::budget_lp_workload(BASELINE_SEED, 1_000, 200)
-        .map_err(|e| format!("warm gate: {e}"))?;
-    let mut cold_best = f64::INFINITY;
-    let mut cold_objective = 0.0;
-    for _ in 0..opts.runs {
-        let start = Instant::now();
-        let solution = lp.solve().map_err(|e| format!("warm gate (cold): {e}"))?;
-        cold_best = cold_best.min(start.elapsed().as_secs_f64());
-        if !solution.is_optimal() {
+/// Folds one workload's runs into a record; counts and stage names must
+/// agree between runs.
+fn summarize(
+    workload: &Workload,
+    runs: &[(workloads::Sample, f64)],
+    cores: u64,
+) -> Result<Record, String> {
+    let first = &runs[0].0;
+    for (s, _) in &runs[1..] {
+        let same_stages = s
+            .stages
+            .iter()
+            .map(|(n, _)| n)
+            .eq(first.stages.iter().map(|(n, _)| n));
+        if s.counts != first.counts || !same_stages {
             return Err(format!(
-                "warm gate: cold budget LP unexpectedly {:?}",
-                solution.status()
-            ));
-        }
-        cold_objective = solution.objective_value();
-    }
-    let warm = tomo_lp::WarmStart::new();
-    // First warm solve populates the basis cache; time the reuse path.
-    lp.solve_warm(&warm)
-        .map_err(|e| format!("warm gate (seed): {e}"))?;
-    let mut warm_best = f64::INFINITY;
-    for _ in 0..opts.runs {
-        let start = Instant::now();
-        let solution = lp
-            .solve_warm(&warm)
-            .map_err(|e| format!("warm gate (warm): {e}"))?;
-        warm_best = warm_best.min(start.elapsed().as_secs_f64());
-        let tol = 1e-6 * (1.0 + cold_objective.abs());
-        if !solution.is_optimal() || (solution.objective_value() - cold_objective).abs() > tol {
-            return Err(format!(
-                "warm gate: warm solve diverged (status {:?}, objective {} vs cold {})",
-                solution.status(),
-                solution.objective_value(),
-                cold_objective
+                "{}: counts or stages differ between runs",
+                workload.name
             ));
         }
     }
-    let ceiling = cold_best * 1.5;
-    let verdict = if warm_best > ceiling { "FAIL" } else { "ok" };
-    println!(
-        "  lp warm: {warm_best:.3}s warm vs {cold_best:.3}s cold (ceiling {ceiling:.3}s) — {verdict}"
-    );
-    Ok(warm_best > ceiling)
-}
-
-/// The committed `tomo-serve` workload identity and gated tail.
-#[derive(Debug)]
-struct ServeBaseline {
-    batches: u64,
-    rows_per_batch: u64,
-    query_p99_us: f64,
-    slo_ms: f64,
-    cores: Option<u64>,
-}
-
-fn load_serve_baseline(path: &Path) -> Result<ServeBaseline, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let root = serde_json::parse_value(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let field = |key: &str| -> Result<f64, String> {
-        root.get(key)
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| format!("{}: missing numeric {key:?}", path.display()))
-    };
-    Ok(ServeBaseline {
-        batches: field("batches")? as u64,
-        rows_per_batch: field("rows_per_batch")? as u64,
-        query_p99_us: field("query_p99_us")?,
-        slo_ms: field("slo_ms")?,
-        cores: root
-            .get("cores")
-            .and_then(serde_json::Value::as_f64)
-            .map(|c| c as u64),
+    let totals: Vec<f64> = runs.iter().map(|&(_, t)| t).collect();
+    Ok(Record {
+        workload: workload.name.to_string(),
+        seed: SEED,
+        cores,
+        runs: runs.len() as u64,
+        counts: first.counts.clone(),
+        stages: first
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _))| {
+                let values: Vec<f64> = runs.iter().map(|(s, _)| s.stages[i].1).collect();
+                (name.clone(), Spread::of(&values))
+            })
+            .collect(),
+        total: Spread::of(&totals),
     })
 }
 
-/// Re-runs the daemon ingest + concurrent-query workload; keeps the
-/// best (lowest) p99 across runs, the same best-of-N discipline as the
-/// throughput gates.
-fn run_serve_workload(baseline: &ServeBaseline, runs: usize) -> (f64, u64) {
-    let config = tomo_serve::bench::BenchConfig {
-        batches: baseline.batches as usize,
-        slo_ms: baseline.slo_ms,
-    };
-    let mut best_p99 = f64::INFINITY;
-    let mut rows_per_batch = 0u64;
-    for _ in 0..runs {
-        let report = tomo_serve::bench::run(&config);
-        rows_per_batch = report.rows_per_batch as u64;
-        best_p99 = best_p99.min(report.query_p99_us);
-    }
-    (best_p99, rows_per_batch)
+/// One gated number: a fresh median against the committed ceiling.
+#[derive(Debug)]
+struct Bound {
+    name: String,
+    median: f64,
+    ceiling: f64,
 }
 
-/// Gates the serve workload's p99 query latency: fail when the tail
-/// blows the committed SLO outright, or regresses past the committed
-/// baseline by more than the threshold fraction plus absolute slack.
-fn serve_gate(opts: &Options, available: usize) -> Result<bool, String> {
-    let path = opts.dir.join(SERVE_FILE);
-    if !path.exists() {
-        println!("  {SERVE_FILE}: SKIP (not present)");
-        return Ok(false);
+impl Bound {
+    fn holds(&self) -> bool {
+        self.median <= self.ceiling
     }
-    let baseline = load_serve_baseline(&path)?;
-    if let Some(cores) = baseline.cores {
-        if cores > available as u64 {
-            println!("  serve: SKIP (baseline recorded on {cores} cores, have {available})");
-            return Ok(false);
-        }
-    }
-    let (p99, rows_per_batch) = run_serve_workload(&baseline, opts.runs);
-    if rows_per_batch != baseline.rows_per_batch {
+}
+
+/// `Some(reason)` when `committed` was recorded on more cores than this
+/// machine has: its timings are not comparable here.
+fn skip_reason(committed: &Record, available: u64) -> Option<String> {
+    (committed.cores > available)
+        .then(|| format!("recorded on {} cores, have {available}", committed.cores))
+}
+
+/// The one regression rule: seed and counts match exactly (else workload
+/// drift), and every committed stage and the total bound its fresh
+/// median by `max × (1 + threshold)`.
+fn gate(committed: &Record, fresh: &Record, threshold: f64) -> Result<Vec<Bound>, String> {
+    if (fresh.seed, &fresh.counts) != (committed.seed, &committed.counts) {
         return Err(format!(
-            "workload drift: baseline has {} rows/batch, re-run produced {rows_per_batch} — \
-             regenerate {SERVE_FILE} with scripts/bench_trajectory.sh",
-            baseline.rows_per_batch
+            "{}: workload drift: committed seed {} counts {:?}, re-run seed {} counts {:?}",
+            committed.workload, committed.seed, committed.counts, fresh.seed, fresh.counts
         ));
     }
-    let slo_us = baseline.slo_ms * 1000.0;
-    let ceiling = (baseline.query_p99_us / (1.0 - opts.threshold))
-        .max(baseline.query_p99_us + SERVE_P99_SLACK_US);
-    let failed = p99 >= slo_us || p99 > ceiling;
-    let verdict = if failed { "FAIL" } else { "ok" };
-    println!(
-        "  serve p99: {p99:.1}µs vs baseline {:.1}µs (ceiling {ceiling:.1}µs, SLO {slo_us:.0}µs) — {verdict}",
-        baseline.query_p99_us
-    );
-    Ok(failed)
-}
-
-/// One committed serve-load sweep point: the identity and the two
-/// numbers the gate re-measures.
-#[derive(Debug)]
-struct ServeLoadPointBaseline {
-    clients: u64,
-    batches_per_sec: f64,
-    query_p99_us: f64,
-}
-
-/// The committed multi-client serve-load workload.
-#[derive(Debug)]
-struct ServeLoadBaseline {
-    batches_total: u64,
-    groups: u64,
-    shards: u64,
-    slo_ms: f64,
-    cores: Option<u64>,
-    points: Vec<ServeLoadPointBaseline>,
-}
-
-fn load_serve_load_baseline(path: &Path) -> Result<ServeLoadBaseline, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let root = serde_json::parse_value(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let config = root
-        .get("config")
-        .ok_or_else(|| format!("{}: missing \"config\" object", path.display()))?;
-    let field = |v: &serde_json::Value, key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| format!("{}: missing numeric {key:?}", path.display()))
+    let bound = |name: &str, spread: &Spread, median: f64| Bound {
+        name: name.to_string(),
+        median,
+        ceiling: spread.max * (1.0 + threshold),
     };
-    let points = root
-        .get("points")
-        .and_then(|p| match p {
-            serde_json::Value::Array(items) => Some(items.as_slice()),
-            _ => None,
-        })
-        .ok_or_else(|| format!("{}: missing \"points\" array", path.display()))?
-        .iter()
-        .map(|p| {
-            Ok(ServeLoadPointBaseline {
-                clients: field(p, "clients")? as u64,
-                batches_per_sec: field(p, "batches_per_sec")?,
-                query_p99_us: field(p, "query_p99_us")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    if points.is_empty() {
-        return Err(format!("{}: no points to check", path.display()));
+    let mut bounds = Vec::with_capacity(committed.stages.len() + 1);
+    for (name, spread) in &committed.stages {
+        let median = fresh.median(name);
+        if median.is_nan() {
+            return Err(format!(
+                "{}: workload drift: stage {name:?} no longer measured",
+                committed.workload
+            ));
+        }
+        bounds.push(bound(name, spread, median));
     }
-    Ok(ServeLoadBaseline {
-        batches_total: field(config, "batches_total")? as u64,
-        groups: field(config, "groups")? as u64,
-        shards: field(config, "shards")? as u64,
-        slo_ms: field(config, "slo_ms")?,
-        cores: root
-            .get("cores")
-            .and_then(serde_json::Value::as_f64)
-            .map(|c| c as u64),
-        points,
-    })
+    bounds.push(bound("total", &committed.total, fresh.total.median));
+    Ok(bounds)
 }
 
-/// Gates the multi-client serve-load sweep: re-runs the committed
-/// workload (same client counts, batches, groups, shards), keeps the
-/// best throughput and tail per point across runs, and fails on a
-/// past-threshold throughput regression or a p99 at (or past) the SLO at
-/// any client count. The sweep's correctness invariants (bit-identical
-/// state, snapshot self-checks) are enforced by the run itself — any
-/// violation surfaces as an error here, not a silent pass.
-fn serve_load_gate(opts: &Options, available: usize) -> Result<bool, String> {
-    let path = opts.dir.join(SERVE_LOAD_FILE);
-    if !path.exists() {
-        println!("  {SERVE_LOAD_FILE}: SKIP (not present)");
-        return Ok(false);
-    }
-    let baseline = load_serve_load_baseline(&path)?;
-    if let Some(cores) = baseline.cores {
-        if cores > available as u64 {
-            println!("  serve-load: SKIP (baseline recorded on {cores} cores, have {available})");
-            return Ok(false);
-        }
-    }
-    let config = tomo_sim::serve_load::ServeLoadConfig {
-        client_counts: baseline.points.iter().map(|p| p.clients as usize).collect(),
-        batches_total: baseline.batches_total as usize,
-        groups: baseline.groups as usize,
-        shards: baseline.shards as usize,
-        slo_ms: baseline.slo_ms,
-    };
-    let mut best_tput = vec![0.0f64; baseline.points.len()];
-    let mut best_p99 = vec![f64::INFINITY; baseline.points.len()];
-    for _ in 0..opts.runs {
-        let result =
-            tomo_sim::serve_load::run(BASELINE_SEED, &config).map_err(|e| e.to_string())?;
-        for (i, p) in result.points.iter().enumerate() {
-            if p.clients as u64 != baseline.points[i].clients {
-                return Err(format!(
-                    "workload drift: baseline point {i} has {} clients, re-run produced {} — \
-                     regenerate {SERVE_LOAD_FILE} with scripts/bench_trajectory.sh",
-                    baseline.points[i].clients, p.clients
-                ));
-            }
-            best_tput[i] = best_tput[i].max(p.batches_per_sec);
-            best_p99[i] = best_p99[i].min(p.query_p99_us);
-        }
-    }
-    let slo_us = baseline.slo_ms * 1000.0;
+fn bench_file(dir: &Path, workload: &str) -> PathBuf {
+    dir.join(format!("BENCH_{workload}.json"))
+}
+
+/// Prints the checks of `record`; returns `true` when one fails.
+fn report_checks(workload: &Workload, record: &Record) -> bool {
     let mut failed = false;
-    for (i, b) in baseline.points.iter().enumerate() {
-        let floor = b.batches_per_sec * (1.0 - opts.threshold);
-        let point_failed = best_tput[i] < floor || best_p99[i] >= slo_us;
-        let verdict = if point_failed { "FAIL" } else { "ok" };
+    for check in (workload.checks)(record) {
         println!(
-            "  serve-load {} clients: {:.0} batches/s vs baseline {:.0} (floor {:.0}), \
-             p99 {:.1}µs vs baseline {:.1}µs (SLO {slo_us:.0}µs) — {verdict}",
-            b.clients, best_tput[i], b.batches_per_sec, floor, best_p99[i], b.query_p99_us
+            "  check {}: {}",
+            if check.holds { "ok" } else { "FAIL" },
+            check.what
         );
-        if point_failed {
-            failed = true;
-        }
+        failed |= !check.holds;
     }
-    Ok(failed)
+    failed
 }
 
-fn regression_gate(opts: &Options) -> Result<bool, String> {
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let baseline = load_baseline(&opts.dir.join(BASELINE_FILE))?;
-    if let Some(cores) = baseline.cores {
-        println!("baseline recorded on {cores} core(s); this machine has {available}");
-    }
+fn record_all(opts: &Options, cores: u64) -> Result<bool, String> {
+    let all: Vec<&Workload> = WORKLOADS.iter().collect();
     let mut failed = false;
-    for point in &baseline.points {
-        let recorded_cores = point.cores.or(baseline.cores);
-        if point.threads > available {
-            println!(
-                "  threads={}: SKIP (needs {} cores, have {available})",
-                point.threads, point.threads
-            );
+    for (workload, record) in all.iter().zip(measure(&all, opts.runs, cores)?) {
+        println!(
+            "{}: total median {:.3}s over {} runs",
+            workload.name, record.total.median, record.runs
+        );
+        if report_checks(workload, &record) {
+            failed = true;
             continue;
         }
-        if let Some(cores) = recorded_cores {
-            if point.threads as u64 > cores {
-                // An oversubscribed baseline point measures scheduler
-                // contention, not throughput; never gate on it.
-                println!(
-                    "  threads={}: SKIP (baseline oversubscribed: {} > {cores} cores)",
-                    point.threads, point.threads
-                );
-                continue;
-            }
+        let path = bench_file(&opts.dir, workload.name);
+        std::fs::write(&path, record.to_json())
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        println!("  wrote {}", path.display());
+    }
+    Ok(failed)
+}
+
+fn regression_all(opts: &Options, cores: u64) -> Result<bool, String> {
+    let mut gated = Vec::new();
+    for workload in WORKLOADS {
+        let path = bench_file(&opts.dir, workload.name);
+        if !path.exists() {
+            println!("{}: SKIP ({} not present)", workload.name, path.display());
+            continue;
         }
-        let (secs, trials) = run_workload(point.threads, opts.runs)?;
-        if trials != baseline.trials {
+        let committed = Record::load(&path)?;
+        if committed.workload != workload.name {
             return Err(format!(
-                "workload drift: baseline ran {} trials, re-run produced {trials} — \
-                 regenerate {BASELINE_FILE} with scripts/bench_trajectory.sh",
-                baseline.trials
+                "{} records workload {:?}",
+                path.display(),
+                committed.workload
             ));
         }
-        let current = trials as f64 / secs;
-        let floor = point.trials_per_sec * (1.0 - opts.threshold);
-        let verdict = if current < floor { "FAIL" } else { "ok" };
-        println!(
-            "  threads={}: {:.1} trials/s vs baseline {:.1} (floor {:.1}) — {verdict}",
-            point.threads, current, point.trials_per_sec, floor
-        );
-        if current < floor {
-            failed = true;
+        match skip_reason(&committed, cores) {
+            Some(reason) => println!("{}: SKIP ({reason})", workload.name),
+            None => gated.push((workload, committed)),
         }
     }
-    if scale_gate(opts, available)? {
-        failed = true;
-    }
-    if serve_gate(opts, available)? {
-        failed = true;
-    }
-    if serve_load_gate(opts, available)? {
-        failed = true;
-    }
-    if warm_gate(opts)? {
-        failed = true;
+    let workloads: Vec<&Workload> = gated.iter().map(|&(w, _)| w).collect();
+    let fresh = measure(&workloads, opts.runs, cores)?;
+    let mut failed = false;
+    for ((workload, committed), fresh) in gated.iter().zip(&fresh) {
+        println!("{}:", workload.name);
+        for b in gate(committed, fresh, opts.threshold)? {
+            println!(
+                "  {}: median {:.6} vs ceiling {:.6} — {}",
+                b.name,
+                b.median,
+                b.ceiling,
+                if b.holds() { "ok" } else { "FAIL" }
+            );
+            failed |= !b.holds();
+        }
+        failed |= report_checks(workload, fresh);
     }
     Ok(failed)
 }
@@ -615,25 +452,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if std::env::var("TOMO_BENCH_SKIP").as_deref() == Ok("1") {
-        println!("tomo-bench regression: skipped (TOMO_BENCH_SKIP=1)");
-        return ExitCode::SUCCESS;
-    }
-    match regression_gate(&opts) {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as u64;
+    let (name, outcome) = match opts.command {
+        Command::Record => ("record", record_all(&opts, cores)),
+        Command::Regression => ("regression", regression_all(&opts, cores)),
+    };
+    match outcome {
         Ok(false) => {
-            println!("tomo-bench regression: ok");
+            println!("tomo-bench {name}: ok");
             ExitCode::SUCCESS
         }
         Ok(true) => {
-            eprintln!(
-                "tomo-bench regression: throughput regressed more than {:.0}% — \
-                 investigate, or regenerate baselines with scripts/bench_trajectory.sh",
-                opts.threshold * 100.0
-            );
+            eprintln!("tomo-bench {name}: a check or bound failed (see FAIL lines)");
             ExitCode::FAILURE
         }
         Err(msg) => {
-            eprintln!("tomo-bench regression: {msg}");
+            eprintln!("tomo-bench {name}: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -647,11 +481,41 @@ mod tests {
         args.iter().map(|s| (*s).to_string()).collect()
     }
 
+    fn spread(median: f64, min: f64, max: f64) -> Spread {
+        Spread { median, min, max }
+    }
+
+    fn record(cores: u64, counts: &[(&str, u64)], stage_median: f64) -> Record {
+        Record {
+            workload: "fig7-quick".into(),
+            seed: SEED,
+            cores,
+            runs: 5,
+            counts: counts.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+            stages: vec![("threads1_s".into(), spread(stage_median, 0.9, 1.0))],
+            total: spread(stage_median, 0.9, 1.0),
+        }
+    }
+
+    fn temp_file(name: &str, body: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("tomo-bench-{}-{name}.json", std::process::id()));
+        std::fs::write(&path, body).unwrap();
+        path
+    }
+
     #[test]
     fn requires_the_regression_subcommand() {
         assert!(parse_options(&argv(&[])).is_err());
         assert!(parse_options(&argv(&["bench"])).is_err());
-        assert!(parse_options(&argv(&["regression"])).is_ok());
+        assert_eq!(
+            parse_options(&argv(&["regression"])).unwrap().command,
+            Command::Regression
+        );
+        assert_eq!(
+            parse_options(&argv(&["record"])).unwrap().command,
+            Command::Record
+        );
     }
 
     #[test]
@@ -671,195 +535,233 @@ mod tests {
         assert_eq!(o.runs, 1);
         assert!(parse_options(&argv(&["regression", "--threshold", "1.5"])).is_err());
         assert!(parse_options(&argv(&["regression", "--runs", "0"])).is_err());
+        assert!(parse_options(&argv(&["regression", "--runs"])).is_err());
         assert!(parse_options(&argv(&["regression", "--nope"])).is_err());
+        assert!(parse_options(&argv(&["record", "--threshold", "0.2"])).is_err());
     }
 
     #[test]
-    fn baseline_parses_committed_shape() {
-        let dir = std::env::temp_dir().join("tomo_bench_baseline_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(BASELINE_FILE);
-        std::fs::write(
-            &path,
-            r#"{
-              "workload": "tomo-sim run fig7 --quick --seed 42",
-              "trials": 80,
-              "cores": 1,
-              "runs_per_point": 3,
-              "points": [
-                {"threads": 1, "wall_secs": 2.8, "trials_per_sec": 28.0, "cores": 1}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let b = load_baseline(&path).unwrap();
-        assert_eq!(b.trials, 80);
-        assert_eq!(b.cores, Some(1));
-        assert_eq!(b.points.len(), 1);
-        assert_eq!(b.points[0].threads, 1);
-        assert_eq!(b.points[0].cores, Some(1));
+    fn spread_takes_the_middle_and_the_extremes() {
+        assert_eq!(Spread::of(&[3.0, 1.0, 2.0]), spread(2.0, 1.0, 3.0));
+        assert_eq!(Spread::of(&[4.0, 1.0, 2.0, 3.0]), spread(2.5, 1.0, 4.0));
+    }
+
+    #[test]
+    fn record_round_trips_through_the_schema() {
+        let mut r = record(2, &[("trials", 80), ("pivots", 1720)], 0.95);
+        r.stages
+            .push(("c1.query_p99_us".into(), spread(17.127, 9.5, 31.0)));
+        let path = temp_file("roundtrip", &r.to_json());
+        assert_eq!(Record::load(&path).unwrap(), r);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn baseline_rejects_missing_fields() {
-        let dir = std::env::temp_dir().join("tomo_bench_baseline_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(BASELINE_FILE);
-        std::fs::write(&path, r#"{"trials": 80}"#).unwrap();
-        assert!(load_baseline(&path).unwrap_err().contains("points"));
-        std::fs::write(&path, r#"{"points": []}"#).unwrap();
-        assert!(load_baseline(&path).is_err());
+        let good = record(1, &[("trials", 80)], 0.95).to_json();
+        let missing = good.replace("\"runs\"", "\"rounds\"");
+        let path = temp_file("missing", &missing);
+        assert!(Record::load(&path).unwrap_err().contains("\"runs\""));
+        let non_numeric = good.replacen("\"median\": 0.95", "\"median\": \"fast\"", 1);
+        assert_ne!(non_numeric, good);
+        std::fs::write(&path, non_numeric).unwrap();
+        assert!(Record::load(&path).unwrap_err().contains("threads1_s"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn baseline_parses_committed_shape() {
+        // Every workload has a committed baseline at the repository root,
+        // and every committed baseline loads in the one schema.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for w in WORKLOADS {
+            let r = Record::load(&bench_file(&root, w.name)).unwrap();
+            assert_eq!(r.workload, w.name);
+            assert_eq!(r.seed, SEED);
+            assert!(r.runs >= 5 && r.cores >= 1, "{}", w.name);
+            assert!(!r.counts.is_empty() && !r.stages.is_empty(), "{}", w.name);
+            for (name, s) in &r.stages {
+                assert!(s.min <= s.median && s.median <= s.max, "{} {name}", w.name);
+            }
+        }
+        let committed = std::fs::read_dir(&root)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .count();
+        assert_eq!(
+            committed,
+            WORKLOADS.len(),
+            "a BENCH_*.json outside the table"
+        );
+    }
+
+    fn committed(workload: &str) -> PathBuf {
+        bench_file(
+            &Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
+            workload,
+        )
+    }
+
+    /// The value under `path` in a JSON object tree.
+    fn entry_mut<'a>(mut v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+        for key in path {
+            let Value::Object(fields) = v else {
+                panic!("{key:?} is not under an object")
+            };
+            v = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        v
+    }
+
+    /// A copy of a committed baseline, edited, written to a temp file.
+    fn doctored(workload: &str, tag: &str, edit: impl FnOnce(&mut Value)) -> PathBuf {
+        let text = std::fs::read_to_string(committed(workload)).unwrap();
+        let mut root = serde_json::parse_value(&text).unwrap();
+        edit(&mut root);
+        temp_file(tag, &serde_json::to_string_pretty(&root).unwrap())
+    }
+
+    fn drop_field(v: &mut Value, key: &str) {
+        let Value::Object(fields) = v else {
+            panic!("not an object")
+        };
+        fields.retain(|(k, _)| k != key);
     }
 
     #[test]
     fn scale_baseline_parses_committed_shape() {
-        let dir = std::env::temp_dir().join("tomo_bench_scale_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SCALE_FILE);
-        std::fs::write(
-            &path,
-            r#"{
-              "workload": "tomo-sim run scale --seed 42",
-              "seed": 42,
-              "cores": 1,
-              "points": [
-                {"links": 1005, "paths": 3005, "sparse_seconds": 0.11, "cores": 1},
-                {"links": 2015, "paths": 4015, "sparse_seconds": 0.78}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let b = load_scale_baseline(&path).unwrap();
-        assert_eq!(b.links, 1005);
-        assert_eq!(b.paths, 3005);
-        assert!((b.sparse_seconds - 0.11).abs() < 1e-12);
-        assert_eq!(b.cores, Some(1));
-        std::fs::remove_file(&path).ok();
+        let r = Record::load(&committed("scale")).unwrap();
+        assert_eq!(r.workload, "scale");
+        for links in [1_000, 2_000, 5_000, 10_000] {
+            assert_eq!(r.count(&format!("p{links}.links")), links);
+            assert_eq!(r.count(&format!("p{links}.paths")), links + 2_000);
+            for stage in ["kernels_s", "build_s"] {
+                assert!(
+                    r.median(&format!("p{links}.{stage}")) > 0.0,
+                    "p{links}.{stage}"
+                );
+            }
+        }
+        // The sparse-vs-dense check needs the dense timing where it runs.
+        assert!(r.median("p1000.dense_s") > 0.0);
     }
 
     #[test]
     fn scale_baseline_rejects_missing_fields() {
-        let dir = std::env::temp_dir().join("tomo_bench_scale_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SCALE_FILE);
-        std::fs::write(&path, r#"{"points": []}"#).unwrap();
-        assert!(load_scale_baseline(&path).unwrap_err().contains("points"));
-        std::fs::write(&path, r#"{"points": [{"links": 10, "paths": 20}]}"#).unwrap();
-        assert!(load_scale_baseline(&path)
-            .unwrap_err()
-            .contains("sparse_seconds"));
+        let path = doctored("scale", "scale-missing", |root| drop_field(root, "counts"));
+        assert!(Record::load(&path).unwrap_err().contains("\"counts\""));
+        std::fs::remove_file(&path).ok();
+        let path = doctored("scale", "scale-stage", |root| {
+            drop_field(entry_mut(root, &["stages", "p1000.kernels_s"]), "median");
+        });
+        let err = Record::load(&path).unwrap_err();
+        assert!(
+            err.contains("p1000.kernels_s") && err.contains("\"median\""),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn serve_baseline_parses_committed_shape() {
-        let dir = std::env::temp_dir().join("tomo_bench_serve_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SERVE_FILE);
-        std::fs::write(
-            &path,
-            r#"{
-              "workload": "tomo-serve bench --batches 400",
-              "cores": 2,
-              "batches": 400, "rows_per_batch": 8, "ingest_secs": 0.21,
-              "batches_per_sec": 1900.0, "rows_per_sec": 15200.0,
-              "queries": 410, "query_p50_us": 9.0, "query_p99_us": 31.0,
-              "slo_ms": 5, "slo_met": true
-            }"#,
-        )
-        .unwrap();
-        let b = load_serve_baseline(&path).unwrap();
-        assert_eq!(b.batches, 400);
-        assert_eq!(b.rows_per_batch, 8);
-        assert!((b.query_p99_us - 31.0).abs() < 1e-12);
-        assert!((b.slo_ms - 5.0).abs() < 1e-12);
-        assert_eq!(b.cores, Some(2));
-        std::fs::remove_file(&path).ok();
+        // The single-client daemon baseline (ingest beside concurrent
+        // queries under the SLO) is the 1-client point of serve-load.
+        let config = tomo_sim::serve_load::ServeLoadConfig::default();
+        let r = Record::load(&committed("serve-load")).unwrap();
+        assert_eq!(r.count("c1.batches"), config.batches_total as u64);
+        assert!(r.median("c1.ingest_s") > 0.0);
+        let p99 = r.median("c1.query_p99_us");
+        assert!(p99 > 0.0 && p99 < config.slo_ms * 1000.0, "c1 p99 {p99}");
     }
 
     #[test]
     fn serve_baseline_rejects_missing_fields() {
-        let dir = std::env::temp_dir().join("tomo_bench_serve_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SERVE_FILE);
-        std::fs::write(&path, r#"{"batches": 400, "rows_per_batch": 8}"#).unwrap();
-        assert!(load_serve_baseline(&path)
-            .unwrap_err()
-            .contains("query_p99_us"));
+        let path = doctored("serve-load", "serve-missing", |root| {
+            *entry_mut(root, &["stages", "c1.query_p99_us", "max"]) = Value::Str("slow".into());
+        });
+        let err = Record::load(&path).unwrap_err();
+        assert!(
+            err.contains("c1.query_p99_us") && err.contains("\"max\""),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn serve_load_baseline_parses_committed_shape() {
-        let dir = std::env::temp_dir().join("tomo_bench_serve_load_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SERVE_LOAD_FILE);
-        std::fs::write(
-            &path,
-            r#"{
-              "seed": 42,
-              "cores": 1,
-              "config": {
-                "client_counts": [1, 4], "batches_total": 4096,
-                "groups": 8, "shards": 4, "slo_ms": 5.0
-              },
-              "points": [
-                {"clients": 1, "batches_per_sec": 90000.0, "query_p99_us": 40.0},
-                {"clients": 4, "batches_per_sec": 85000.0, "query_p99_us": 55.0}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let b = load_serve_load_baseline(&path).unwrap();
-        assert_eq!(b.batches_total, 4096);
-        assert_eq!(b.groups, 8);
-        assert_eq!(b.shards, 4);
-        assert!((b.slo_ms - 5.0).abs() < 1e-12);
-        assert_eq!(b.cores, Some(1));
-        assert_eq!(b.points.len(), 2);
-        assert_eq!(b.points[1].clients, 4);
-        assert!((b.points[1].batches_per_sec - 85000.0).abs() < 1e-9);
-        assert!((b.points[0].query_p99_us - 40.0).abs() < 1e-12);
-        std::fs::remove_file(&path).ok();
+        let config = tomo_sim::serve_load::ServeLoadConfig::default();
+        let r = Record::load(&committed("serve-load")).unwrap();
+        assert_eq!(r.workload, "serve-load");
+        for c in &config.client_counts {
+            assert_eq!(
+                r.count(&format!("c{c}.batches")),
+                config.batches_total as u64
+            );
+            assert!(r.median(&format!("c{c}.ingest_s")) > 0.0, "c{c}");
+            assert!(r.median(&format!("c{c}.query_p99_us")) > 0.0, "c{c}");
+        }
+        assert_eq!(r.counts.len(), config.client_counts.len());
+        let serve_load = WORKLOADS.iter().find(|w| w.name == "serve-load").unwrap();
+        for c in (serve_load.checks)(&r) {
+            assert!(c.holds, "{}", c.what);
+        }
     }
 
     #[test]
     fn serve_load_baseline_rejects_missing_fields() {
-        let dir = std::env::temp_dir().join("tomo_bench_serve_load_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(SERVE_LOAD_FILE);
-        std::fs::write(&path, r#"{"points": []}"#).unwrap();
-        assert!(load_serve_load_baseline(&path)
-            .unwrap_err()
-            .contains("config"));
-        std::fs::write(
-            &path,
-            r#"{"config": {"batches_total": 64, "groups": 4, "shards": 2, "slo_ms": 5.0},
-                "points": []}"#,
-        )
-        .unwrap();
-        assert!(load_serve_load_baseline(&path)
-            .unwrap_err()
-            .contains("no points"));
-        std::fs::write(
-            &path,
-            r#"{"config": {"batches_total": 64, "groups": 4, "shards": 2, "slo_ms": 5.0},
-                "points": [{"clients": 1, "batches_per_sec": 100.0}]}"#,
-        )
-        .unwrap();
-        assert!(load_serve_load_baseline(&path)
-            .unwrap_err()
-            .contains("query_p99_us"));
+        let path = doctored("serve-load", "serve-load-missing", |root| {
+            drop_field(root, "total")
+        });
+        assert!(Record::load(&path).unwrap_err().contains("\"total\""));
+        std::fs::remove_file(&path).ok();
+        let path = doctored("serve-load", "serve-load-count", |root| {
+            *entry_mut(root, &["counts", "c4.batches"]) = Value::Float(1.5);
+        });
+        assert!(Record::load(&path).unwrap_err().contains("c4.batches"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
+    fn gate_passes_up_to_the_widened_max_and_fails_above_it() {
+        let committed = record(1, &[("trials", 80)], 0.95);
+        // Committed max 1.0, threshold 0.15: the ceiling is 1.15.
+        let at = gate(&committed, &record(1, &[("trials", 80)], 1.15), 0.15).unwrap();
+        assert!(at.iter().all(Bound::holds));
+        let above = gate(&committed, &record(1, &[("trials", 80)], 1.16), 0.15).unwrap();
+        assert!(above.iter().all(|b| !b.holds()));
+        assert_eq!(above.len(), 2, "one bound per stage plus the total");
+    }
+
+    #[test]
+    fn count_mismatch_is_workload_drift() {
+        let committed = record(1, &[("trials", 80)], 0.95);
+        let err = gate(&committed, &record(1, &[("trials", 79)], 0.95), 0.15).unwrap_err();
+        assert!(err.contains("workload drift"));
+        let mut renamed = record(1, &[("trials", 80)], 0.95);
+        renamed.stages[0].0 = "threads2_s".into();
+        assert!(gate(&committed, &renamed, 0.15)
+            .unwrap_err()
+            .contains("workload drift"));
+        let mut reseeded = record(1, &[("trials", 80)], 0.95);
+        reseeded.seed = SEED + 1;
+        assert!(gate(&committed, &reseeded, 0.15)
+            .unwrap_err()
+            .contains("workload drift"));
+    }
+
+    #[test]
+    fn files_recorded_on_more_cores_are_skipped() {
+        assert!(skip_reason(&record(4, &[], 1.0), 2).is_some());
+        assert!(skip_reason(&record(2, &[], 1.0), 2).is_none());
+        assert!(skip_reason(&record(1, &[], 1.0), 2).is_none());
+    }
+
+    #[test]
     fn workload_reruns_the_quick_fig7_trial_count() {
-        // One run is enough to pin the trial count the gate checks.
-        let (secs, trials) = run_workload(1, 1).unwrap();
-        assert!(secs > 0.0);
-        assert_eq!(trials, 80);
+        let fig7 = WORKLOADS.iter().find(|w| w.name == "fig7-quick").unwrap();
+        let r = measure(&[fig7], 1, 1).unwrap().remove(0);
+        assert_eq!(r.count("trials"), 80);
+        assert!(r.total.median > 0.0);
     }
 }

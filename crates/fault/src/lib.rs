@@ -43,8 +43,8 @@ pub use spec::{FaultSpec, FaultSpecError};
 /// layer outright (`0`, `false`, or `off`, case-insensitive).
 ///
 /// With the layer disabled a chaos run skips plan construction and every
-/// per-trial fault draw — the benchmarking hook `bench_trajectory.sh`
-/// uses to measure the machinery's overhead at fault rate 0 (the
+/// per-trial fault draw — the hook the `chaos-overhead` workload of
+/// `tomo-bench` uses to measure the machinery's overhead at fault rate 0 (the
 /// artifacts must stay byte-identical either way, since zero-rate draws
 /// never fire and never touch the trial streams).
 #[must_use]

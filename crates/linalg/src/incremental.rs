@@ -7,8 +7,8 @@
 //! rotations ([`Cholesky::rank1_update`] / [`Cholesky::rank1_downdate`])
 //! where a rebuild costs a full factorization — the MINC
 //! `update_estimator` idiom applied to the Eq. (2) estimator. The same
-//! identity drives [`pseudo_inverse_add_row`] / [`pseudo_inverse_drop_row`]:
-//! Sherman–Morrison updates of the materialized `A⁺ = (AᵀA)⁻¹Aᵀ`.
+//! identity drives [`pseudo_inverse_drop_row`]: a Sherman–Morrison
+//! update of the materialized `A⁺ = (AᵀA)⁻¹Aᵀ` when a path is dropped.
 //!
 //! Floating-point drift: K successive rank-1 rotations are not the same
 //! op sequence as one fresh factorization, so after
@@ -264,51 +264,6 @@ fn dense_factor_of(a: &CsrMatrix) -> Result<Cholesky, LinalgError> {
 }
 
 /// Sherman–Morrison update of a materialized pseudo-inverse after
-/// *adding* row `r` (unit-coefficient support `links`, sorted) to `A`:
-/// returns `A′⁺` of shape `n × (m+1)` with the new row's column last.
-///
-/// With `g = (AᵀA)⁻¹ r` and `β = 1 + rᵀ g`, every old column `p_j`
-/// becomes `p_j − g·(rᵀp_j)/β` and the new column is `g/β` — O(n·m)
-/// total, against O(n²·m) for a rebuild.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if a link index is out of range.
-/// * Propagates solve errors from the factor.
-pub fn pseudo_inverse_add_row(
-    pinv: &Matrix,
-    chol: &Cholesky,
-    links: &[usize],
-) -> Result<Matrix, LinalgError> {
-    let (n, m) = pinv.shape();
-    if links.iter().any(|&j| j >= n) {
-        return Err(LinalgError::DimensionMismatch {
-            op: "pseudo_inverse_add_row",
-            lhs: (n, m),
-            rhs: (*links.iter().max().unwrap_or(&0), 1),
-        });
-    }
-    let mut r = Vector::zeros(n);
-    for &j in links {
-        r[j] = 1.0;
-    }
-    let g = chol.solve(&r)?;
-    let beta = 1.0 + links.iter().map(|&j| g[j]).sum::<f64>();
-    let mut out = Matrix::zeros(n, m + 1);
-    for j in 0..m {
-        let rtp: f64 = links.iter().map(|&k| pinv[(k, j)]).sum();
-        let scale = rtp / beta;
-        for i in 0..n {
-            out[(i, j)] = pinv[(i, j)] - g[i] * scale;
-        }
-    }
-    for i in 0..n {
-        out[(i, m)] = g[i] / beta;
-    }
-    Ok(out)
-}
-
-/// Sherman–Morrison update of a materialized pseudo-inverse after
 /// *dropping* row `row` from `A` (its entries given as `(link, value)`
 /// pairs): returns `A′⁺` of shape `n × (m−1)` with `row`'s column
 /// removed and later columns shifted left.
@@ -439,25 +394,6 @@ mod tests {
             .solve(&b)
             .unwrap()
             .approx_eq(&cold.solve(&b).unwrap(), 1e-9));
-    }
-
-    #[test]
-    fn sherman_morrison_add_matches_rebuild() {
-        let a = system();
-        let solver = NormalEquationsSolver::from_sparse(a.clone()).unwrap();
-        let pinv = solver.pseudo_inverse().unwrap();
-        let chol = solver.dense_factor().unwrap();
-        let links = vec![1, 2, 5];
-        let updated = pseudo_inverse_add_row(&pinv, chol, &links).unwrap();
-
-        let mut all = paths();
-        all.push(links.clone());
-        let rebuilt = NormalEquationsSolver::from_sparse(CsrMatrix::from_paths(&all, 6).unwrap())
-            .unwrap()
-            .pseudo_inverse()
-            .unwrap();
-        assert!(updated.approx_eq(&rebuilt, 1e-9));
-        assert!(pseudo_inverse_add_row(&pinv, chol, &[9]).is_err());
     }
 
     #[test]

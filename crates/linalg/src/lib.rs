@@ -14,8 +14,8 @@
 //!   of CSR Gram matrices (the Rocketfuel-scale build kernel),
 //! * [`incremental`] — the delta engine: [`incremental::IncrementalNormalSolver`]
 //!   absorbs path add/drop deltas by rank-1 rotations with a
-//!   refactor-after-K drift cadence, plus Sherman–Morrison updates of a
-//!   materialized pseudo-inverse,
+//!   refactor-after-K drift cadence, plus the Sherman–Morrison update of
+//!   a materialized pseudo-inverse when a path is dropped,
 //! * [`qr::Qr`] — Householder QR and column-pivoted QR (rank-revealing),
 //! * [`lstsq`] — least-squares solvers (QR-based, normal equations),
 //! * [`rank`] — numerical rank and the incremental rank tracker used by

@@ -23,16 +23,10 @@ static RIDGE_SOLVES: LazyCounter = LazyCounter::new("linalg.lstsq.ridge_solves")
 /// this, so the historical dense code path — and its byte-exact
 /// artifacts — is untouched; the Rocketfuel-scale sweep sits far above
 /// it, where the dense kernel's 256s/800MB cost was the measured wall.
-/// `TOMO_SPARSE_CHOL=0` disables the sparse route, `=force` enables it
-/// at any size (parity tests use both).
 pub const SPARSE_FACTOR_MIN_DIM: usize = 512;
 
 fn use_sparse_factor(dim: usize) -> bool {
-    match std::env::var("TOMO_SPARSE_CHOL") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if v.eq_ignore_ascii_case("force") => true,
-        _ => dim >= SPARSE_FACTOR_MIN_DIM,
-    }
+    dim >= SPARSE_FACTOR_MIN_DIM
 }
 
 /// The cached Gram factorization: dense (updatable by rank-1

@@ -96,9 +96,9 @@ pub(crate) const AUTO_REVISED_MIN_CELLS: usize = 1 << 20;
 pub(crate) const WARM_MIN_CELLS: usize = 1 << 18;
 
 /// `true` when `TOMO_LP_WARM` explicitly forces warm-starting even on
-/// instances below [`WARM_MIN_CELLS`] — the hook
-/// `scripts/bench_trajectory.sh` uses to compare cold vs warm pivot
-/// counts on the (small) fig7 workload.
+/// instances below [`WARM_MIN_CELLS`] — the hook the `lp-warm`
+/// workload of `tomo-bench` uses to compare cold vs warm pivot counts
+/// on the (small) fig7 workload.
 fn warm_forced() -> bool {
     match std::env::var("TOMO_LP_WARM") {
         Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "force" | "always"),

@@ -138,8 +138,8 @@ impl WarmStart {
 ///
 /// Experiment drivers consult this before creating a [`WarmStart`]
 /// handle, so `TOMO_LP_WARM=0` forces every solve down the cold path —
-/// the benchmarking hook used by `scripts/bench_trajectory.sh` to
-/// compare cold and warm pivot counts.
+/// the hook the `lp-warm` workload of `tomo-bench` uses to compare
+/// cold and warm pivot counts.
 #[must_use]
 pub fn warm_enabled() -> bool {
     match std::env::var("TOMO_LP_WARM") {

@@ -5,7 +5,6 @@
 //!            [--journal-sync] [--queue-capacity N] [--shards N]
 //!            [--snapshot-every N] [--slo-ms F] [--max-secs F]
 //!            [--topology FILE.cch] [--extra-paths N] [--paths-seed N]
-//! tomo-serve bench [--batches N] [--slo-ms F]
 //! ```
 //!
 //! The daemon prints its bound addresses (`ingest_addr=` / `http_addr=`)
@@ -13,9 +12,7 @@
 //! until `POST /shutdown` (or `--max-secs` elapses). Without
 //! `--topology` it serves the fig. 1 toy system; with it, any
 //! Rocketfuel `.cch` / edge-list topology (one one-hop path per link
-//! plus `--extra-paths` seeded multi-hop paths). The `bench` subcommand
-//! runs the ingest/query workload in-process and prints the
-//! `BENCH_serve.json` payload on stdout.
+//! plus `--extra-paths` seeded multi-hop paths).
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -24,7 +21,6 @@ use std::time::Duration;
 
 use tomo_core::fig1::fig1_system;
 use tomo_detect::ConsistencyDetector;
-use tomo_serve::bench::{self, BenchConfig};
 use tomo_serve::{topology, ServeConfig, Server};
 
 struct Options {
@@ -82,21 +78,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn run_bench(argv: &[String]) -> Result<(), String> {
-    let mut config = BenchConfig::default();
-    let mut args = argv.iter().peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--batches" => config.batches = parse_flag(&mut args, arg)?,
-            "--slo-ms" => config.slo_ms = parse_flag(&mut args, arg)?,
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    let report = bench::run(&config);
-    println!("{}", report.to_json());
-    Ok(())
-}
-
 fn run_daemon(options: Options) -> Result<(), String> {
     let system = match &options.topology {
         Some(path) => Arc::new(
@@ -135,12 +116,7 @@ fn run_daemon(options: Options) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = if argv.first().map(String::as_str) == Some("bench") {
-        run_bench(&argv[1..])
-    } else {
-        parse_options(&argv).and_then(run_daemon)
-    };
-    match result {
+    match parse_options(&argv).and_then(run_daemon) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("tomo-serve: {msg}");

@@ -4,7 +4,9 @@
 //! an `EpochMark` at every daemon start, each applied `Batch` in apply
 //! order, and a full-state `Snapshot` every `snapshot_every` batches.
 //! Nothing is ever rewritten in place, so a crash at any byte leaves a
-//! valid prefix — replay simply stops at the first torn frame.
+//! valid prefix — replay simply stops at the first torn frame, and a
+//! restart cuts the torn bytes off ([`truncate_torn_tail`]) before it
+//! appends again, so the next replay never reads into them.
 //!
 //! **Determinism argument.** The engine's slot table is a pure function
 //! of the applied-batch *set* (last-writer-wins by batch id, see
@@ -15,7 +17,7 @@
 //! bits — as a run that was never interrupted.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use tomo_obs::LazyCounter;
@@ -42,6 +44,51 @@ pub struct Replay {
     /// `true` when the file ended inside a frame — the torn tail of a
     /// crash mid-append. The valid prefix is still used.
     pub torn_tail: bool,
+    /// Byte length of the whole-frame prefix that was replayed: the
+    /// length [`truncate_torn_tail`] cuts a torn journal back to.
+    pub valid_len: u64,
+}
+
+/// Counts the bytes read through it, so replay knows where each whole
+/// frame ends without a second pass over the file.
+struct CountingReader<R> {
+    inner: R,
+    read: u64,
+}
+
+impl<R: Read> Read for CountingReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read += n as u64;
+        Ok(n)
+    }
+}
+
+/// Cuts a torn tail off the journal at `path`, back to the whole-frame
+/// prefix `replay` recovered, and counts it in `serve.journal.torn_tail`.
+/// Does nothing when the replay found no torn tail. A restart calls this
+/// between [`Journal::replay`] and [`Journal::open`]: appending after
+/// the torn bytes would make the next replay read them as a frame
+/// header, and the daemon could not start again.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error.
+pub fn truncate_torn_tail(path: &Path, replay: &Replay) -> std::io::Result<()> {
+    if !replay.torn_tail {
+        return Ok(());
+    }
+    OpenOptions::new()
+        .write(true)
+        .open(path)?
+        .set_len(replay.valid_len)?;
+    TORN.inc();
+    tomo_obs::warn!(
+        "serve.journal",
+        "truncated a torn journal tail back to {} bytes",
+        replay.valid_len
+    );
+    Ok(())
 }
 
 /// An open, append-mode journal.
@@ -146,12 +193,16 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replay::default()),
             Err(e) => return Err(e),
         };
-        let mut reader = BufReader::new(file);
+        let mut reader = CountingReader {
+            inner: BufReader::new(file),
+            read: 0,
+        };
         let mut replay = Replay::default();
         loop {
             match read_frame(&mut reader) {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
+                    replay.valid_len = reader.read;
                     replay.frames_read += 1;
                     REPLAYED.inc();
                     match frame {
@@ -170,7 +221,6 @@ impl Journal {
                 Err(WireError::UnexpectedEof) => {
                     // Torn tail from a crash mid-append: keep the prefix.
                     replay.torn_tail = true;
-                    TORN.inc();
                     break;
                 }
                 Err(e) => return Err(wire_to_io(e)),
@@ -300,6 +350,49 @@ mod tests {
         assert!(r.torn_tail);
         assert_eq!(r.batches.len(), 1, "torn batch dropped, prefix kept");
         assert_eq!(r.batches[0].batch_id, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn restart_after_a_crash_at_any_byte_appends_after_the_valid_prefix() {
+        let path = temp_path("crash-sweep");
+        {
+            let mut j = Journal::open(&path, 0).unwrap();
+            j.append(&Frame::EpochMark { epoch: 1 }).unwrap();
+            j.append(&Frame::Batch(batch(0))).unwrap();
+            j.append(&Frame::Batch(batch(1))).unwrap();
+            j.append(&Frame::EpochMark { epoch: 2 }).unwrap();
+            j.append(&Frame::Batch(batch(2))).unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        let ids = |r: &Replay| r.batches.iter().map(|b| b.batch_id).collect::<Vec<_>>();
+        for cut in 0..=full.len() {
+            // Crash mid-append at byte `cut`, then restart the way the
+            // server does: replay, cut the torn tail, reopen, append.
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let before = Journal::replay(&path).unwrap();
+            assert_eq!(
+                before.torn_tail,
+                before.valid_len != cut as u64,
+                "cut {cut}"
+            );
+            assert!(ids(&before)
+                .iter()
+                .copied()
+                .eq(0..before.batches.len() as u64));
+            truncate_torn_tail(&path, &before).unwrap();
+            {
+                let mut j = Journal::open(&path, 0).unwrap();
+                j.append(&Frame::Batch(batch(9))).unwrap();
+            }
+            let after = Journal::replay(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert!(!after.torn_tail, "cut {cut}");
+            assert_eq!(after.last_epoch, before.last_epoch, "cut {cut}");
+            assert_eq!(after.frames_read, before.frames_read + 1, "cut {cut}");
+            let mut expected = ids(&before);
+            expected.push(9);
+            assert_eq!(ids(&after), expected, "cut {cut}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -29,13 +29,10 @@
 //! * [`client`] — the `tomo-probe` side: lockstep delivery with
 //!   jittered exponential backoff and deliberate wire-fault injection
 //!   for chaos runs.
-//! * [`bench`] — the ingest-throughput / query-latency workload behind
-//!   `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod engine;
 pub mod journal;

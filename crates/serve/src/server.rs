@@ -41,7 +41,7 @@ use tomo_detect::ConsistencyDetector;
 use tomo_obs::{Handler, HttpRequest, HttpResponse, HttpServer, LazyHistogram};
 
 use crate::engine::{ApplyOutcome, Engine, EngineStats, QueryError};
-use crate::journal::Journal;
+use crate::journal::{truncate_torn_tail, Journal};
 use crate::queue::{ShardStats, ShardedQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotStore};
 use crate::wire::{Frame, ProbeBatch, RejectCode, WireError, MAX_FRAME_LEN, WIRE_VERSION};
@@ -207,6 +207,7 @@ impl Server {
                         ),
                     }
                 }
+                truncate_torn_tail(path, &replay)?;
                 let mut journal =
                     Journal::open(path, config.snapshot_every)?.with_sync(config.journal_sync);
                 let epoch = replay.last_epoch + 1;

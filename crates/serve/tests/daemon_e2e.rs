@@ -14,8 +14,8 @@ use tomo_detect::ConsistencyDetector;
 use tomo_fault::{FaultPlan, FaultSpec};
 use tomo_linalg::Vector;
 use tomo_serve::{
-    read_frame, write_frame, ClientConfig, ClientError, Frame, ProbeBatch, ProbeClient, ProbeRow,
-    RejectCode, ServeConfig, Server, WIRE_VERSION,
+    read_frame, write_frame, ClientConfig, ClientError, Frame, Journal, ProbeBatch, ProbeClient,
+    ProbeRow, RejectCode, ServeConfig, Server, WIRE_VERSION,
 };
 
 fn system() -> Arc<TomographySystem> {
@@ -239,6 +239,50 @@ fn double_restart_replays_batches_from_every_epoch() {
         got.estimate_bits, want.estimate_bits,
         "double restart reconverges byte-identically"
     );
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn restarts_after_a_torn_tail_keep_the_daemon_recoverable() {
+    let journal = temp_journal("torn-restart");
+    let sys = system();
+    let config = ServeConfig {
+        journal_path: Some(journal.clone()),
+        snapshot_every: 0,
+        ..ServeConfig::default()
+    };
+    let server_a = start(config.clone());
+    let mut client = ProbeClient::new(server_a.ingest_addr(), 3);
+    client
+        .stream(make_batches(&sys, 6, 0), None)
+        .expect("epoch-1 batches");
+    drop(server_a);
+
+    // Crash mid-append: the last frame loses its final bytes.
+    let bytes = std::fs::read(&journal).expect("journal written");
+    std::fs::write(&journal, &bytes[..bytes.len() - 3]).expect("tear the tail");
+    let torn = Journal::replay(&journal).expect("torn journal replays");
+    assert!(torn.torn_tail);
+
+    let server_b = start(config.clone());
+    assert_eq!(server_b.epoch(), 2);
+    let recovered = server_b.engine_stats().applied;
+    assert_eq!(
+        recovered,
+        torn.batches.len() as u64,
+        "valid prefix replayed"
+    );
+    let mut client_b =
+        ProbeClient::new(server_b.ingest_addr(), 3).with_start_batch_id(client.next_batch_id());
+    client_b
+        .stream(make_batches(&sys, 4, 6), None)
+        .expect("epoch-2 batches");
+    drop(server_b);
+
+    // The second restart must read past the first crash point.
+    let server_c = start(config);
+    assert_eq!(server_c.epoch(), 3);
+    assert_eq!(server_c.engine_stats().applied, recovered + 4);
     let _ = std::fs::remove_file(&journal);
 }
 

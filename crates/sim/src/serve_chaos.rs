@@ -288,13 +288,17 @@ fn fleet_stream(
     std::thread::scope(|scope| {
         let query_thread = scope.spawn(|| {
             let mut lat = Vec::new();
-            while !stop.load(Ordering::Acquire) {
+            // Query first, then test `stop`: every phase issues at least
+            // one query however fast its ingest finishes.
+            loop {
                 let start = Instant::now();
                 let _ = server.query();
                 lat.push(start.elapsed().as_secs_f64() * 1e6);
+                if stop.load(Ordering::Acquire) {
+                    break lat;
+                }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            lat
         });
         let handles: Vec<_> = (0..clients)
             .map(|c| {

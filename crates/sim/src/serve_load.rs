@@ -29,7 +29,7 @@
 //! client count, and full delivery (every batch acked exactly once
 //! across the fleet). Throughput (aggregate batches/s) is reported and
 //! gated downstream by `tomo-bench` against the committed
-//! `BENCH_serve_load.json` baseline.
+//! `BENCH_serve-load.json` baseline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -18,27 +18,21 @@ cargo clippy -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo test -q --test par_determinism (thread-count invariance)"
-cargo test -q --test par_determinism
-
-echo "==> cargo test -q --test sparse_parity (CSR/dense bit parity)"
-cargo test -q --test sparse_parity
-
-echo "==> cargo test -q --test warm_equivalence (warm vs cold simplex)"
-cargo test -q --test warm_equivalence
-
-echo "==> cargo test -q --test kernel_parity (blocked vs unblocked kernels)"
-cargo test -q --test kernel_parity
-
-echo "==> cargo test -q --test revised_equivalence (revised vs dense simplex)"
-cargo test -q --test revised_equivalence
-
-echo "==> cargo test -q --test incremental_parity (rank-1 update vs rebuild)"
-cargo test -q --test incremental_parity
+# One scratch directory for every smoke's files, removed on exit together
+# with any background process still running.
+WORK="$(mktemp -d)"
+SERVE_PID=""
+DAEMON_PID=""
+cleanup() {
+  for pid in $SERVE_PID $DAEMON_PID; do
+    kill "$pid" 2>/dev/null || true
+  done
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 echo "==> tomo-sim 2-thread smoke (fig7 --quick --threads 2 --metrics)"
-SMOKE_METRICS="$(mktemp /tmp/tomo-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS"' EXIT
+SMOKE_METRICS="$WORK/metrics.json"
 target/release/tomo-sim run fig7 --quick --threads 2 --metrics "$SMOKE_METRICS" >/dev/null
 grep -q '"par.workers": 2' "$SMOKE_METRICS" || {
   echo "ci: expected par.workers = 2 in $SMOKE_METRICS" >&2
@@ -52,8 +46,7 @@ echo "==> tomo-sim warm-start smoke (fig7 --quick --threads 1 --metrics)"
 # fig7's LPs sit below the warm size gate, so the default run must
 # *skip* the cache (and count the skips); forcing the cache on must
 # then produce hits. Both runs must agree on the artifact bytes.
-WARM_METRICS="$(mktemp /tmp/tomo-warm-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS"' EXIT
+WARM_METRICS="$WORK/warm-metrics.json"
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
   --metrics "$WARM_METRICS" >/dev/null
 python3 - "$WARM_METRICS" <<'PY'
@@ -72,8 +65,7 @@ if nnz < 1:
 print(f"ci: warm-start smoke skipped the cache below the size gate "
       f"(skipped_small={skipped}, sparse nnz={nnz})")
 PY
-WARM_FORCED_METRICS="$(mktemp /tmp/tomo-warm-forced-metrics.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS"' EXIT
+WARM_FORCED_METRICS="$WORK/warm-forced-metrics.json"
 TOMO_LP_WARM=force target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
   --metrics "$WARM_FORCED_METRICS" >/dev/null
 python3 - "$WARM_FORCED_METRICS" <<'PY'
@@ -89,9 +81,8 @@ echo "==> tomo-sim scale smoke (scale --quick --threads 1 --metrics)"
 # The smallest sweep point must still cross the sparse-kernel gauge and
 # route its budget LP through the revised simplex, and the artifact must
 # land on disk.
-SCALE_METRICS="$(mktemp /tmp/tomo-scale-metrics.XXXXXX.json)"
-SCALE_OUT="$(mktemp -d /tmp/tomo-scale-out.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS"; rm -rf "$SCALE_OUT"' EXIT
+SCALE_METRICS="$WORK/scale-metrics.json"
+SCALE_OUT="$WORK/scale"
 target/release/tomo-sim run scale --quick --seed 42 --threads 1 \
   --metrics "$SCALE_METRICS" --out "$SCALE_OUT" >/dev/null
 python3 - "$SCALE_METRICS" "$SCALE_OUT/scale.json" <<'PY'
@@ -114,9 +105,8 @@ PY
 echo "==> tomo-sim chaos smoke (chaos --quick --threads 2 --metrics)"
 # Default fault mix (measurement faults only): faults must fire, every
 # one must be absorbed by a degradation path, and the run must exit 0.
-CHAOS_METRICS="$(mktemp /tmp/tomo-chaos-metrics.XXXXXX.json)"
-CHAOS_OUT="$(mktemp -d /tmp/tomo-chaos-out.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"' EXIT
+CHAOS_METRICS="$WORK/chaos-metrics.json"
+CHAOS_OUT="$WORK/chaos"
 target/release/tomo-sim run chaos --quick --seed 42 --threads 2 \
   --metrics "$CHAOS_METRICS" --out "$CHAOS_OUT" >/dev/null
 python3 - "$CHAOS_METRICS" "$CHAOS_OUT/chaos.json" <<'PY'
@@ -168,8 +158,7 @@ echo "==> tomo-sim trace smoke (fig7 --quick --trace-out)"
 # --trace-out must emit valid Chrome trace-event JSON with one span and
 # one provenance instant per Monte-Carlo trial (fig7 --quick = 80), and
 # one sim.fig7.system span per placed system (one per family).
-TRACE_JSON="$(mktemp /tmp/tomo-trace.XXXXXX.json)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"' EXIT
+TRACE_JSON="$WORK/trace.json"
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 2 \
   --trace-out "$TRACE_JSON" >/dev/null 2>&1
 python3 - "$TRACE_JSON" <<'PY'
@@ -204,7 +193,6 @@ SERVE_PORT=9184
 target/release/tomo-sim run fig7 --quick --seed 42 --threads 1 \
   --serve-metrics "$SERVE_PORT" >/dev/null 2>&1 &
 SERVE_PID=$!
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT"; kill "$SERVE_PID" 2>/dev/null || true' EXIT
 python3 - "$SERVE_PORT" <<'PY'
 import sys, time, urllib.request
 port = sys.argv[1]
@@ -229,12 +217,12 @@ echo "==> tomo-serve smoke (daemon + faulted probe + HTTP + shutdown)"
 # Boot the streaming daemon on ephemeral ports, stream faulted batches
 # at it with tomo-probe, check the delivery ledger balances, hit every
 # HTTP endpoint, then shut it down over HTTP and require a clean exit.
-SERVE_WORK="$(mktemp -d /tmp/tomo-serve-smoke.XXXXXX)"
+SERVE_WORK="$WORK/serve"
+mkdir -p "$SERVE_WORK"
 SERVE_LOG="$SERVE_WORK/daemon.log"
 target/release/tomo-serve --ingest-port 0 --http-port 0 \
   --journal "$SERVE_WORK/journal.bin" --max-secs 120 > "$SERVE_LOG" &
 DAEMON_PID=$!
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 50); do
   grep -q '^http_addr=' "$SERVE_LOG" 2>/dev/null && break
   sleep 0.1
@@ -298,8 +286,7 @@ echo "==> tomo-sim serve-chaos smoke (live daemon kill/restart sweep)"
 # The sweep itself enforces the invariants (balanced ledger, bit-exact
 # reconvergence after a mid-sweep restart, p99 under SLO) and exits
 # non-zero on any violation.
-SERVE_CHAOS_OUT="$(mktemp -d /tmp/tomo-serve-chaos.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK" "$SERVE_CHAOS_OUT"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
+SERVE_CHAOS_OUT="$WORK/serve-chaos"
 target/release/tomo-sim run serve-chaos --quick --seed 42 \
   --out "$SERVE_CHAOS_OUT" >/dev/null
 python3 - "$SERVE_CHAOS_OUT/serve_chaos.json" <<'PY'
@@ -328,8 +315,7 @@ echo "==> tomo-sim serve-load smoke (concurrent clients vs one daemon, --quick)"
 # daemon with query hammering; the run itself enforces bit-exact final
 # state vs the single-client reference and snapshot self-checks, and
 # exits non-zero on any violation. The smoke re-checks the artifact.
-SERVE_LOAD_OUT="$(mktemp -d /tmp/tomo-serve-load.XXXXXX)"
-trap 'rm -f "$SMOKE_METRICS" "$WARM_METRICS" "$WARM_FORCED_METRICS" "$SCALE_METRICS" "$CHAOS_METRICS" "$TRACE_JSON"; rm -rf "$SCALE_OUT" "$CHAOS_OUT" "$SERVE_WORK" "$SERVE_CHAOS_OUT" "$SERVE_LOAD_OUT"; kill "$SERVE_PID" "$DAEMON_PID" 2>/dev/null || true' EXIT
+SERVE_LOAD_OUT="$WORK/serve-load"
 target/release/tomo-sim run serve-load --quick --seed 42 \
   --out "$SERVE_LOAD_OUT" >/dev/null
 python3 - "$SERVE_LOAD_OUT/serve_load.json" <<'PY'
@@ -358,8 +344,7 @@ print(f"ci: serve-load smoke ok ({clients} clients, every fleet "
       f"bit-exact, best {best:.0f} batches/s)")
 PY
 
-echo "==> tomo-bench regression (committed BENCH baselines)"
-# TOMO_BENCH_SKIP=1 skips the gate (e.g. on shared/noisy runners).
+echo "==> tomo-bench regression (committed BENCH_*.json baselines)"
 target/release/tomo-bench regression
 
 echo "ci: all checks passed"
