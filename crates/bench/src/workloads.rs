@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use tomo_par::Executor;
-use tomo_sim::{chaos, fig7, incremental, scale, serve_load};
+use tomo_sim::{chaos, fig7, scale, serve_load};
 
 use crate::Record;
 
@@ -106,11 +106,6 @@ pub const WORKLOADS: &[Workload] = &[
         name: "scale",
         run: scale_sweep,
         checks: scale_checks,
-    },
-    Workload {
-        name: "incremental",
-        run: incremental_sweep,
-        checks: incremental_checks,
     },
     Workload {
         name: "serve-load",
@@ -382,39 +377,6 @@ fn scale_checks(r: &Record) -> Vec<Check> {
         build * 2.0 <= BUILD_10K_BEFORE_S,
         format!("10k system build {build:.3}s at least 2x under {BUILD_10K_BEFORE_S}s"),
     ));
-    checks
-}
-
-/// Cold rebuild vs rank-1 delta per add/drop event, at 1k and 5k links.
-fn incremental_sweep() -> Result<Sample, String> {
-    let result = incremental::run(SEED, &incremental::IncrementalConfig::default())
-        .map_err(|e| e.to_string())?;
-    let mut s = Sample::default();
-    for p in &result.points {
-        let at = p.target_links;
-        s.count(format!("p{at}.links"), p.links as u64);
-        s.count(format!("p{at}.paths"), p.paths as u64);
-        s.count(format!("p{at}.events"), p.events as u64);
-        s.count(format!("p{at}.cores"), p.cores as u64);
-        s.stage(format!("p{at}.cold_s"), p.cold_rebuild_seconds);
-        s.stage(format!("p{at}.incremental_s"), p.incremental_seconds);
-    }
-    Ok(s)
-}
-
-fn incremental_checks(r: &Record) -> Vec<Check> {
-    let mut checks = vec![ratio_at_most(
-        r,
-        "p5000.incremental_s",
-        "p5000.cold_s",
-        1.0 / 5.0,
-    )];
-    for (name, cores) in r.counts.iter().filter(|(n, _)| n.ends_with(".cores")) {
-        checks.push(check(
-            *cores == 1,
-            format!("{name} = {cores}: the delta kernels are single-threaded"),
-        ));
-    }
     checks
 }
 

@@ -2,8 +2,7 @@ use std::sync::OnceLock;
 
 use tomo_graph::{Graph, LinkId, NodeId, Path};
 use tomo_linalg::cholesky::Cholesky;
-use tomo_linalg::incremental::pseudo_inverse_drop_row;
-use tomo_linalg::lstsq::NormalEquationsSolver;
+use tomo_linalg::lstsq::{pseudo_inverse_drop_row, NormalEquationsSolver};
 use tomo_linalg::{CsrMatrix, LinalgError, Matrix, Vector};
 use tomo_obs::LazyCounter;
 
@@ -69,7 +68,7 @@ impl EstimatorCache {
     /// # Errors
     ///
     /// [`LinalgError::NotPositiveDefinite`] when removing some row
-    /// collapses the Gram rank — the incremental engine's *rank
+    /// collapses the Gram rank — the downdate's *rank
     /// certificate*; callers fall back to the ridge rebuild path.
     fn apply_path_delta(
         &self,
@@ -180,24 +179,16 @@ impl DeltaEstimator {
 /// estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradedMode {
-    /// Incremental when available (dense Gram factor cached, rank
-    /// plausibly survives, `TOMO_INCREMENTAL` not `0`), rebuild
-    /// otherwise. The default.
+    /// Rank-1 downdates of the cached dense Gram factor (see
+    /// [`TomographySystem::apply_path_delta`]) when some rows are lost,
+    /// at least as many rows as links survive and a dense factor is
+    /// cached; the rebuild path otherwise, or when the downdate
+    /// certifies rank collapse. The default.
     #[default]
-    Auto,
-    /// Force the rank-1 downdate path (falls back to rebuild only when
-    /// no dense factor exists or the downdate certifies rank collapse).
     Incremental,
-    /// Force the historical rebuild path (row-subset rank check, QR or
-    /// ridge) — the `TOMO_INCREMENTAL=0` behavior.
+    /// Always the rebuild path (row-subset rank check, QR or ridge): the
+    /// reference the incremental path is tested against.
     Rebuild,
-}
-
-/// `false` when the `TOMO_INCREMENTAL` environment variable is `0` —
-/// the escape hatch that pins every degraded solve to the rebuild path.
-#[must_use]
-pub fn incremental_enabled() -> bool {
-    std::env::var("TOMO_INCREMENTAL").map_or(true, |v| v != "0")
 }
 
 /// A complete network-tomography measurement system: topology, monitors,
@@ -494,12 +485,12 @@ impl TomographySystem {
         surviving_rows: &[usize],
         y_sub: &Vector,
     ) -> Result<DegradedSolve, CoreError> {
-        self.solve_degraded_with(surviving_rows, y_sub, DegradedMode::Auto)
+        self.solve_degraded_with(surviving_rows, y_sub, DegradedMode::default())
     }
 
     /// [`Self::solve_degraded`] with an explicit engine choice — the
     /// seam parity tests use to pin the incremental path against the
-    /// rebuild path without racing on `TOMO_INCREMENTAL`.
+    /// rebuild path.
     ///
     /// # Errors
     ///
@@ -533,11 +524,8 @@ impl TomographySystem {
             }
         }
         DEGRADED_SOLVES.inc();
-        let try_incremental = match mode {
-            DegradedMode::Rebuild => false,
-            DegradedMode::Incremental => true,
-            DegradedMode::Auto => incremental_enabled(),
-        } && surviving_rows.len() < self.num_paths()
+        let try_incremental = mode == DegradedMode::Incremental
+            && surviving_rows.len() < self.num_paths()
             && surviving_rows.len() >= self.num_links()
             && self.solver.dense_factor().is_some();
         if try_incremental {

@@ -126,16 +126,26 @@ impl ConsistencyDetector {
         system: &TomographySystem,
         observed: &Vector,
     ) -> Result<Verdict, CoreError> {
+        Ok(self.estimate_and_inspect(system, observed)?.1)
+    }
+
+    /// [`Self::inspect`] that also returns the estimate `x̂` it judged.
+    fn estimate_and_inspect(
+        &self,
+        system: &TomographySystem,
+        observed: &Vector,
+    ) -> Result<(Vector, Verdict), CoreError> {
         let estimate = system.estimate(observed)?;
         let reprojected = system.routing_csr().mul_vec(&estimate)?;
         let residual_l1 = norms::l1(&(&reprojected - observed));
         let min_estimate = estimate.min().unwrap_or(0.0);
         let implausible = self.plausibility_tol.is_some_and(|tol| min_estimate < -tol);
-        Ok(Verdict {
+        let verdict = Verdict {
             residual_l1,
             min_estimate,
             detected: residual_l1 > self.alpha || implausible,
-        })
+        };
+        Ok((estimate, verdict))
     }
 
     /// Runs the check(s) on a *surviving subset* of measurements — the
@@ -160,9 +170,10 @@ impl ConsistencyDetector {
     ) -> Result<DegradedVerdict, CoreError> {
         if surviving_rows.len() == system.num_paths() {
             // Full survival: defer to the exact path (also re-validates).
-            let verdict = self.inspect(system, observed_sub)?;
+            let (estimate, verdict) = self.estimate_and_inspect(system, observed_sub)?;
             return Ok(DegradedVerdict {
                 verdict,
+                estimate,
                 degraded: false,
                 rank: system.num_links(),
                 used_ridge: false,
@@ -200,6 +211,7 @@ impl ConsistencyDetector {
                 min_estimate,
                 detected: residual_l1 > self.alpha || implausible,
             },
+            estimate: solve.estimate,
             degraded: true,
             rank: solve.rank,
             used_ridge: solve.used_ridge,
@@ -213,6 +225,9 @@ impl ConsistencyDetector {
 pub struct DegradedVerdict {
     /// The detection decision.
     pub verdict: Verdict,
+    /// The estimate `x̂` the decision judged (ridge-regularized when
+    /// `used_ridge`).
+    pub estimate: Vector,
     /// `false` when every measurement survived (the decision then equals
     /// [`ConsistencyDetector::inspect`] exactly).
     pub degraded: bool,

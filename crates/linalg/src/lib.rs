@@ -9,15 +9,13 @@
 //! * [`lu::Lu`] — LU decomposition with partial pivoting (solve, inverse,
 //!   determinant),
 //! * [`cholesky::Cholesky`] — SPD factorization used for the normal
-//!   equations `RᵀR`, with rank-1 update/downdate for path deltas,
+//!   equations `RᵀR`, with a rank-1 downdate for dropped paths,
 //! * [`sparse_chol::SparseCholesky`] — up-looking sparse factorization
 //!   of CSR Gram matrices (the Rocketfuel-scale build kernel),
-//! * [`incremental`] — the delta engine: [`incremental::IncrementalNormalSolver`]
-//!   absorbs path add/drop deltas by rank-1 rotations with a
-//!   refactor-after-K drift cadence, plus the Sherman–Morrison update of
-//!   a materialized pseudo-inverse when a path is dropped,
 //! * [`qr::Qr`] — Householder QR and column-pivoted QR (rank-revealing),
-//! * [`lstsq`] — least-squares solvers (QR-based, normal equations),
+//! * [`lstsq`] — least-squares solvers (QR-based, normal equations) and
+//!   the Sherman–Morrison update of a materialized pseudo-inverse when a
+//!   path is dropped,
 //! * [`rank`] — numerical rank and the incremental rank tracker used by
 //!   greedy measurement-path selection.
 //!
@@ -48,7 +46,6 @@ mod sparse;
 mod vector;
 
 pub mod cholesky;
-pub mod incremental;
 pub mod lstsq;
 pub mod lu;
 pub mod norms;

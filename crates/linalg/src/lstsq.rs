@@ -200,6 +200,57 @@ impl NormalEquationsSolver {
     }
 }
 
+/// Sherman–Morrison update of a materialized pseudo-inverse after
+/// *dropping* row `row` from `A` (its entries given as `(link, value)`
+/// pairs): returns `A′⁺` of shape `n × (m−1)` with `row`'s column
+/// removed and later columns shifted left. `chol` is the factor of the
+/// Gram `AᵀA` *before* the drop.
+///
+/// # Errors
+///
+/// * [`LinalgError::DimensionMismatch`] if `row` or a link index is out
+///   of range.
+/// * [`LinalgError::NotPositiveDefinite`] if dropping the row collapses
+///   the Gram rank (`1 − rᵀ(AᵀA)⁻¹r` not positive).
+pub fn pseudo_inverse_drop_row(
+    pinv: &Matrix,
+    chol: &Cholesky,
+    row: usize,
+    entries: &[(usize, f64)],
+) -> Result<Matrix, LinalgError> {
+    let (n, m) = pinv.shape();
+    if row >= m || entries.iter().any(|&(j, _)| j >= n) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "pseudo_inverse_drop_row",
+            lhs: (n, m),
+            rhs: (row, 1),
+        });
+    }
+    let mut r = Vector::zeros(n);
+    for &(j, v) in entries {
+        r[j] = v;
+    }
+    let g = chol.solve(&r)?;
+    let beta = 1.0 - entries.iter().map(|&(j, v)| v * g[j]).sum::<f64>();
+    if beta <= 1e-12 {
+        return Err(LinalgError::NotPositiveDefinite { index: row });
+    }
+    let mut out = Matrix::zeros(n, m - 1);
+    let mut dst = 0usize;
+    for j in 0..m {
+        if j == row {
+            continue;
+        }
+        let rtp: f64 = entries.iter().map(|&(k, v)| v * pinv[(k, j)]).sum();
+        let scale = rtp / beta;
+        for i in 0..n {
+            out[(i, dst)] = pinv[(i, j)] + g[i] * scale;
+        }
+        dst += 1;
+    }
+    Ok(out)
+}
+
 /// The component of `b` orthogonal to the column space of `a` — the
 /// least-squares residual vector, computed without requiring `a` to have
 /// full column rank (modified Gram-Schmidt over the columns, dependent
@@ -424,6 +475,42 @@ mod tests {
         let via_pinv = pinv.mul_vec(&b).unwrap();
         let via_solve = solver.solve(&b).unwrap();
         assert!(via_pinv.approx_eq(&via_solve, 1e-9));
+    }
+
+    #[test]
+    fn sherman_morrison_drop_matches_rebuild() {
+        let mut paths: Vec<Vec<usize>> = (0..6).map(|i| vec![i]).collect();
+        paths.push(vec![0, 1, 2]);
+        paths.push(vec![2, 3]);
+        paths.push(vec![1, 4, 5]);
+        let a = CsrMatrix::from_paths(&paths, 6).unwrap();
+        let solver = NormalEquationsSolver::from_sparse(a.clone()).unwrap();
+        let pinv = solver.pseudo_inverse().unwrap();
+        let chol = solver.dense_factor().unwrap();
+        let row = 7; // the [2,3] extra
+        let entries: Vec<(usize, f64)> = a.row_iter(row).collect();
+        let updated = pseudo_inverse_drop_row(&pinv, chol, row, &entries).unwrap();
+
+        paths.remove(row);
+        let rebuilt = NormalEquationsSolver::from_sparse(CsrMatrix::from_paths(&paths, 6).unwrap())
+            .unwrap()
+            .pseudo_inverse()
+            .unwrap();
+        assert!(updated.approx_eq(&rebuilt, 1e-9));
+        assert!(pseudo_inverse_drop_row(&pinv, chol, 99, &entries).is_err());
+    }
+
+    #[test]
+    fn sherman_morrison_drop_detects_rank_collapse() {
+        // One-hop-only system: every row is load-bearing.
+        let a = CsrMatrix::from_paths(&[vec![0], vec![1], vec![2]], 3).unwrap();
+        let solver = NormalEquationsSolver::from_sparse(a).unwrap();
+        let pinv = solver.pseudo_inverse().unwrap();
+        let chol = solver.dense_factor().unwrap();
+        assert!(matches!(
+            pseudo_inverse_drop_row(&pinv, chol, 1, &[(1, 1.0)]),
+            Err(LinalgError::NotPositiveDefinite { index: 1 })
+        ));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! reordered frames harmless, and what makes journal replay after a
 //! crash reconverge to bit-identical state.
 //!
-//! Queries answer from the slot table through the PR 7 incremental
-//! machinery: full path coverage estimates via the cached normal-
-//! equations factor, partial coverage routes through
+//! Queries answer from the slot table through
+//! [`ConsistencyDetector::inspect_degraded`], which solves once per
+//! answer: full path coverage estimates via the cached normal-equations
+//! factor, partial coverage routes through
 //! [`TomographySystem::solve_degraded`] (rank-1 downdates, ridge
 //! fallback) so the daemon keeps answering while probes are missing.
 //! Answers are cached and invalidated per applied batch, so a query
@@ -149,37 +150,19 @@ pub(crate) fn solve_answer(
     num_paths: usize,
 ) -> Result<QueryAnswer, QueryError> {
     SOLVES.inc();
-    if covered.len() == num_paths {
-        let y = Vector::from(values.to_vec());
-        let estimate = system.estimate(&y)?;
-        let verdict = detector.inspect(system, &y)?;
-        Ok(QueryAnswer {
-            epoch,
-            coverage: num_paths,
-            num_paths,
-            estimate_bits: estimate.iter().map(|v| v.to_bits()).collect(),
-            verdict,
-            degraded: false,
-            rank: system.num_links(),
-            used_ridge: false,
-            unidentifiable: 0,
-        })
-    } else {
-        let y_sub = Vector::from(values.to_vec());
-        let solve = system.solve_degraded(covered, &y_sub)?;
-        let degraded = detector.inspect_degraded(system, covered, &y_sub)?;
-        Ok(QueryAnswer {
-            epoch,
-            coverage: covered.len(),
-            num_paths,
-            estimate_bits: solve.estimate.iter().map(|v| v.to_bits()).collect(),
-            verdict: degraded.verdict,
-            degraded: true,
-            rank: degraded.rank,
-            used_ridge: degraded.used_ridge,
-            unidentifiable: degraded.unidentifiable.len(),
-        })
-    }
+    let y = Vector::from(values.to_vec());
+    let answer = detector.inspect_degraded(system, covered, &y)?;
+    Ok(QueryAnswer {
+        epoch,
+        coverage: covered.len(),
+        num_paths,
+        estimate_bits: answer.estimate.iter().map(|v| v.to_bits()).collect(),
+        verdict: answer.verdict,
+        degraded: answer.degraded,
+        rank: answer.rank,
+        used_ridge: answer.used_ridge,
+        unidentifiable: answer.unidentifiable.len(),
+    })
 }
 
 /// The daemon's estimation state. Single-writer (the apply worker);

@@ -26,6 +26,7 @@ fn list_prints_every_experiment() {
     ] {
         assert!(stdout.contains(name), "{name} missing from list");
     }
+    assert!(!stdout.contains("incremental"), "retired target listed");
 }
 
 #[test]
@@ -137,11 +138,19 @@ fn bad_usage_fails_with_message() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("usage"));
 
-    let out = tomo_sim()
-        .args(["run", "fig99"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
+    for target in ["fig99", "incremental"] {
+        let out = tomo_sim()
+            .args(["run", target])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "run {target}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("unknown figure"),
+            "stderr:
+{stderr}"
+        );
+    }
 
     let out = tomo_sim()
         .args(["run", "fig4", "--seed", "not-a-number"])

@@ -127,13 +127,12 @@ print(f"ci: chaos smoke injected {injected} faults, "
       f"0 quarantined)")
 PY
 
-echo "==> incremental engine smoke (rank-1 deltas on the chaos path)"
-# The chaos smoke above ran with the incremental engine at its default
-# (enabled): degraded solves must have flowed through the rank-1
-# update/downdate path — not the from-scratch rebuild — while keeping
-# the fault ledger balanced. The update-vs-rebuild parity suite gating
-# byte-identity ran under `cargo test` above; this checks the live
-# counters of a real run.
+echo "==> degraded-solve smoke (DeltaEstimator downdates on the chaos path)"
+# Degraded solves in the chaos smoke above must have flowed through the
+# DeltaEstimator, i.e. rank-1 downdates of the cached Gram factor, not
+# the from-scratch rebuild, while keeping the fault ledger balanced.
+# The downdate-vs-rebuild parity suite ran under `cargo test` above;
+# this checks the live counters of a real run.
 python3 - "$CHAOS_METRICS" "$CHAOS_OUT/chaos.json" <<'PY'
 import json, sys
 counters = json.load(open(sys.argv[1])).get("counters", {})
@@ -148,9 +147,9 @@ if delta_solves < 1:
              f"got {delta_solves}")
 totals = artifact["totals"]
 if totals["injected"] != totals["handled"] + totals["quarantined"]:
-    sys.exit(f"ci: chaos fault ledger unbalanced with incremental "
-             f"engine on: {totals}")
-print(f"ci: incremental smoke absorbed {updates} rank-1 factor deltas "
+    sys.exit(f"ci: chaos fault ledger unbalanced with degraded solves "
+             f"by downdate: {totals}")
+print(f"ci: degraded-solve smoke ran {updates} rank-1 downdates "
       f"across {delta_solves} delta solves, ledger balanced")
 PY
 

@@ -1,22 +1,17 @@
-//! Update-vs-rebuild parity for the incremental estimator engine.
+//! Downdate-vs-rebuild parity for the degraded-solve delta path.
 //!
-//! The rank-1 delta machinery (`tomo_linalg::incremental`, the
-//! estimator-cache delta path in `tomo_core`) buys its speed from
-//! in-place factor rotations. These tests pin the properties that keep
+//! Degraded solves drop the missing rows from the cached Gram factor by
+//! rank-1 downdates (the estimator-cache delta path in `tomo_core`)
+//! instead of refactorizing. These tests pin the properties that keep
 //! that safe:
 //!
-//! * `rank1_update` followed by `rank1_downdate` of the same row is the
-//!   identity up to floating-point working precision;
+//! * downdating `chol(A + w wᵀ)` by `w` recovers `chol(A)` up to
+//!   floating-point working precision;
 //! * downdating a row the Gram never contained fails cleanly with
 //!   [`LinalgError::NotPositiveDefinite`] instead of producing garbage;
-//! * a long churn of adds and drops — including past
-//!   [`REFACTOR_INTERVAL`], where the cadence refactor fires — stays
-//!   within the drift bound of a cold rebuild;
 //! * `solve_degraded` agrees between the incremental and rebuild
 //!   engines on every surviving-row subset, and is *bitwise* identical
-//!   on the ridge fallback;
-//! * a chaos sweep with link-fail faults serializes to byte-identical
-//!   artifacts with the incremental engine on vs `TOMO_INCREMENTAL=0`.
+//!   on the ridge fallback.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,9 +19,7 @@ use rand_chacha::ChaCha8Rng;
 
 use scapegoat_tomography::core::{fig1::fig1_system, DegradedMode};
 use scapegoat_tomography::linalg::cholesky::Cholesky;
-use scapegoat_tomography::linalg::incremental::{IncrementalNormalSolver, REFACTOR_INTERVAL};
-use scapegoat_tomography::linalg::lstsq::NormalEquationsSolver;
-use scapegoat_tomography::linalg::{CsrMatrix, LinalgError, Vector};
+use scapegoat_tomography::linalg::{CsrMatrix, LinalgError, Matrix, Vector};
 
 /// One-hop coverage of `n` links plus `extras` random multi-hop rows.
 fn random_system(seed: u64, n: usize, extras: usize) -> CsrMatrix {
@@ -59,11 +52,22 @@ fn unit_row(links: &[usize], n: usize) -> Vector {
     w
 }
 
+/// The Gram of `a` with the row `w` added: `AᵀA + w wᵀ`.
+fn gram_plus_row(a: &CsrMatrix, w: &Vector) -> Matrix {
+    let mut g = a.gram();
+    for i in 0..w.len() {
+        for j in 0..w.len() {
+            g[(i, j)] += w[i] * w[j];
+        }
+    }
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `rank1_update(w)` then `rank1_downdate(w)` recovers the original
-    /// factor within floating-point working precision, for arbitrary
+    /// Downdating `chol(AᵀA + w wᵀ)` by `w` recovers the fresh factor
+    /// `chol(AᵀA)` within floating-point working precision, for arbitrary
     /// unit path rows on arbitrary (identifiable) systems.
     #[test]
     fn update_then_downdate_round_trips(seed in 0u64..500, n in 4usize..12) {
@@ -72,8 +76,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0e17_a5ed);
         let w = unit_row(&random_multi_hop(&mut rng, n), n);
 
-        let mut working = original.clone();
-        working.rank1_update(&w).unwrap();
+        let mut working = Cholesky::new(&gram_plus_row(&a, &w)).unwrap();
         working.rank1_downdate(&w).unwrap();
         prop_assert!(
             working.l().approx_eq(original.l(), 1e-8),
@@ -102,69 +105,17 @@ proptest! {
     }
 }
 
-/// A row can be downdated exactly as many times as it was added: the
-/// second removal is a row "never in the system" and must error.
+/// A row can be downdated exactly as many times as the Gram contains it:
+/// the second removal is a row "never in the system" and must error.
 #[test]
 fn double_downdate_errors_after_round_trip() {
     let n = 6;
     let a = random_system(11, n, 0);
-    let mut chol = Cholesky::new(&a.gram()).unwrap();
     let w = unit_row(&[1, 3, 4], n);
-    chol.rank1_update(&w).unwrap();
+    let mut chol = Cholesky::new(&gram_plus_row(&a, &w)).unwrap();
     chol.rank1_downdate(&w).unwrap();
     let err = chol.rank1_downdate(&w).unwrap_err();
     assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
-}
-
-/// Long mixed add/drop churn — including crossing [`REFACTOR_INTERVAL`]
-/// so the cadence refactor fires — stays within the drift bound of a
-/// from-scratch rebuild of the final row set.
-#[test]
-fn churn_stays_within_drift_bound_of_rebuild() {
-    let n = 40;
-    let a = random_system(3, n, 20);
-    let mut inc = IncrementalNormalSolver::from_sparse(a).unwrap();
-    let mut extra_rows: Vec<usize> = (n..inc.num_rows()).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_0bad);
-
-    for event in 0..300 {
-        if event % 2 == 0 || extra_rows.is_empty() {
-            let p = random_multi_hop(&mut rng, n);
-            let row = inc.add_path_row(&p).unwrap();
-            extra_rows.push(row);
-        } else {
-            let pick = rng.gen_range(0..extra_rows.len());
-            let row = extra_rows.remove(pick);
-            inc.drop_path_row(row).unwrap();
-            for r in &mut extra_rows {
-                if *r > row {
-                    *r -= 1;
-                }
-            }
-        }
-    }
-    assert_eq!(inc.deltas_since_refactor(), 300);
-
-    // Push past the cadence: the interval refactor must fire and reset.
-    for _ in 0..REFACTOR_INTERVAL {
-        let p = random_multi_hop(&mut rng, n);
-        inc.add_path_row(&p).unwrap();
-    }
-    assert!(
-        inc.deltas_since_refactor() < REFACTOR_INTERVAL,
-        "cadence refactor never fired"
-    );
-
-    let cold = NormalEquationsSolver::from_sparse(inc.snapshot()).unwrap();
-    let b: Vector = (0..inc.num_rows())
-        .map(|i| (i as f64 * 0.37).sin() * 40.0)
-        .collect();
-    let x_inc = inc.solve(&b).unwrap();
-    let x_cold = cold.solve(&b).unwrap();
-    assert!(
-        x_inc.approx_eq(&x_cold, 1e-9),
-        "drift bound violated after churn + cadence refactor"
-    );
 }
 
 /// `solve_degraded` parity sweep: the incremental delta engine and the
@@ -224,50 +175,4 @@ fn solve_degraded_incremental_matches_rebuild() {
     }
     assert!(saw_full_rank, "sweep never exercised the delta fast path");
     assert!(saw_ridge, "sweep never exercised the ridge fallback");
-}
-
-/// Chaos-path determinism: a link-fail chaos sweep serializes to
-/// byte-identical artifacts with the incremental engine enabled
-/// (default) and disabled (`TOMO_INCREMENTAL=0`). The engines differ in
-/// floating-point association on the estimate, but every artifact field
-/// is a count or a config echo, and verdict margins dwarf the
-/// last-bit difference — so the bytes must match exactly.
-///
-/// This is the only test in the workspace that mutates
-/// `TOMO_INCREMENTAL`; everything else pins the engine through
-/// [`DegradedMode`] explicitly.
-#[test]
-fn chaos_artifacts_byte_identical_across_engines() {
-    use scapegoat_tomography::fault::FaultSpec;
-    use scapegoat_tomography::par::Executor;
-    use scapegoat_tomography::sim::chaos;
-
-    let spec = FaultSpec::parse(chaos::DEFAULT_FAULTS).unwrap();
-    let config = chaos::ChaosConfig {
-        trials_per_point: 12,
-        scales: vec![0.0, 1.0],
-        max_attackers: 2,
-        solver_retries: 1,
-        panic_retries: 1,
-    };
-    let exec = Executor::single_threaded();
-
-    let prior = std::env::var("TOMO_INCREMENTAL").ok();
-    std::env::remove_var("TOMO_INCREMENTAL");
-    let on = chaos::run(77, &spec, &config, &exec).unwrap();
-    std::env::set_var("TOMO_INCREMENTAL", "0");
-    let off = chaos::run(77, &spec, &config, &exec).unwrap();
-    match prior {
-        Some(v) => std::env::set_var("TOMO_INCREMENTAL", v),
-        None => std::env::remove_var("TOMO_INCREMENTAL"),
-    }
-
-    assert!(on.totals.is_balanced());
-    assert!(off.totals.is_balanced());
-    let on_json = serde_json::to_string(&on).unwrap();
-    let off_json = serde_json::to_string(&off).unwrap();
-    assert_eq!(
-        on_json, off_json,
-        "chaos artifact bytes diverge between engines"
-    );
 }
