@@ -101,6 +101,17 @@ fn bench_graph(c: &mut Criterion) {
     c.bench_function("graph/yen_8_shortest", |b| {
         b.iter(|| shortest::yen_k_shortest(black_box(&g), a, z, 8).unwrap());
     });
+    // Placement's access pattern: every node's paths to one new monitor
+    // from one workspace, which finds the distances to the target once.
+    let sources: Vec<tomo_graph::NodeId> = g.nodes().filter(|&s| s != z).collect();
+    c.bench_function("graph/yen_8_shortest_shared_target", |b| {
+        b.iter(|| {
+            let mut yen = shortest::KShortest::new(black_box(&g));
+            for &s in &sources {
+                black_box(yen.paths(s, z, 8).unwrap());
+            }
+        });
+    });
 }
 
 fn bench_placement_and_attack(c: &mut Criterion) {

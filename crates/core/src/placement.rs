@@ -16,7 +16,8 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use tomo_graph::{shortest, Graph, NodeId, Path};
+use tomo_graph::shortest::KShortest;
+use tomo_graph::{Graph, NodeId, Path};
 use tomo_linalg::rank::IncrementalRank;
 
 use crate::selection::path_row;
@@ -88,11 +89,17 @@ pub fn random_placement<R: Rng + ?Sized>(
     // 100-node system rejects tens of thousands).
     let mut skipped: Vec<Path> = Vec::new();
 
+    // Every call for one candidate shares its target, so the workspace
+    // finds the distances to it once.
+    let mut yen = KShortest::new(graph);
     for &candidate in order.iter().take(budget) {
         // Pull candidate paths from the new monitor to each existing one.
         for &existing in &monitors {
-            let paths =
-                shortest::yen_k_shortest(graph, existing, candidate, config.paths_per_pair)?;
+            if tracker.is_full() && skipped.len() == extra {
+                // Nothing the remaining pairs return can be kept.
+                break;
+            }
+            let paths = yen.paths(existing, candidate, config.paths_per_pair)?;
             for p in paths {
                 if tracker.try_add(&path_row(&p, num_links)) {
                     chosen.push(p);

@@ -18,23 +18,24 @@ static DELTA_SOLVES: LazyCounter = LazyCounter::new("core.estimator_cache.delta_
 static DELTA_COLLAPSES: LazyCounter = LazyCounter::new("core.estimator_cache.delta_collapses");
 
 /// Routing matrices with at most this many cells (`|P|·|L|`) take the
-/// dense construction path: materialize the dense `R` eagerly and
-/// certify identifiability with an explicit Gaussian-elimination rank
-/// computation. Above the gate the O(|P|·|L|²) rank pre-check (hours at
-/// Rocketfuel scale) and the dense copy of `R` are skipped; the Cholesky
-/// factorization of the Gram matrix — which construction performs
-/// anyway — becomes the identifiability certificate instead.
+/// dense construction path and materialize the dense `R` eagerly; above
+/// the gate `R` stays in CSR and its dense copy is built only on request.
+/// At every size the Cholesky factorization of the Gram matrix — which
+/// construction performs anyway — certifies identifiability; a QR rank
+/// of the dense `R` is computed only to report a failure on the dense
+/// path.
 pub const DENSE_KERNEL_MAX_CELLS: usize = 1 << 20;
 
 /// Which construction/validation kernel a [`TomographySystem`] selected
 /// (see [`TomographySystem::kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Dense routing matrix materialized eagerly; identifiability
-    /// certified by an explicit rank computation.
+    /// Dense routing matrix materialized eagerly; a failed Gram Cholesky
+    /// reports the QR rank of `R`.
     Dense,
     /// Routing kept in CSR only (the dense view materializes lazily on
-    /// first request); identifiability certified by the Gram Cholesky.
+    /// first request); a failed Gram Cholesky reports its failing pivot
+    /// as the rank bound.
     Sparse,
 }
 
@@ -266,33 +267,31 @@ impl TomographySystem {
         };
         if kernel == KernelKind::Dense {
             KERNEL_DENSE.inc();
-            let dense = routing_csr.to_dense();
-            let rank = tomo_linalg::rank::rank(&dense);
-            if rank < num_links {
-                return Err(CoreError::NotIdentifiable {
-                    rank,
-                    links: num_links,
-                });
-            }
-            let _ = routing.set(dense);
+            let _ = routing.set(routing_csr.to_dense());
         } else {
             KERNEL_SPARSE.inc();
         }
-        // The Gram Cholesky below doubles as the identifiability
-        // certificate on the sparse path: it succeeds iff RᵀR is
-        // positive definite, i.e. iff R has full column rank. The
-        // failing pivot index is a lower bound on the achieved rank.
+        // The Gram Cholesky is the identifiability certificate at every
+        // size: it succeeds iff RᵀR is positive definite, i.e. iff R has
+        // full column rank. Only a failure pays for a diagnosis: the QR
+        // rank of the dense R on the dense gate, the failing pivot index
+        // (a lower bound on the rank) above it.
         let solver = match NormalEquationsSolver::from_sparse(routing_csr.clone()) {
             Ok(s) => s,
-            Err(tomo_linalg::LinalgError::NotPositiveDefinite { index })
-                if kernel == KernelKind::Sparse =>
-            {
-                return Err(CoreError::NotIdentifiable {
-                    rank: index,
-                    links: num_links,
-                });
+            Err(e) => {
+                let rank = match (routing.get(), &e) {
+                    (Some(dense), _) => tomo_linalg::rank::rank(dense),
+                    (None, LinalgError::NotPositiveDefinite { index }) => *index,
+                    (None, _) => num_links,
+                };
+                if rank < num_links {
+                    return Err(CoreError::NotIdentifiable {
+                        rank,
+                        links: num_links,
+                    });
+                }
+                return Err(e.into());
             }
-            Err(e) => return Err(e.into()),
         };
         Ok(TomographySystem {
             graph,
@@ -1064,6 +1063,71 @@ mod tests {
                 assert_eq!(links, 2);
             }
             other => panic!("expected NotIdentifiable, got {other:?}"),
+        }
+    }
+
+    /// The Gram Cholesky is the one identifiability certificate: on
+    /// random path subsets of the Fig. 1, a small ISP and a small RGG
+    /// system, construction succeeds iff the QR rank of the dense `R` is
+    /// `|L|`, and every failure reports exactly that QR rank.
+    #[test]
+    fn construction_succeeds_iff_qr_rank_is_full() {
+        use crate::placement::{random_placement, PlacementConfig};
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use tomo_graph::{isp, rgg};
+
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let fig1 = crate::fig1::fig1_topology();
+        let fig1_paths = crate::fig1::fig1_all_simple_paths().unwrap();
+        let isp_config = isp::IspConfig {
+            backbone_nodes: 6,
+            backbone_chords: 3,
+            access_nodes: 24,
+            ..isp::IspConfig::default()
+        };
+        let isp_graph = isp::generate(&isp_config, &mut rng).unwrap();
+        let rgg_config = rgg::RggConfig {
+            num_nodes: 30,
+            ..rgg::RggConfig::default()
+        };
+        let rgg_graph = rgg_config.generate(&mut rng).unwrap().graph;
+        let placement = PlacementConfig::default();
+        let systems = [
+            TomographySystem::new(fig1.graph, fig1.monitors, fig1_paths).unwrap(),
+            random_placement(&isp_graph, &placement, &mut rng).unwrap(),
+            random_placement(&rgg_graph, &placement, &mut rng).unwrap(),
+        ];
+        for sys in &systems {
+            let links = sys.num_links();
+            let (mut accepted, mut rejected) = (0, 0);
+            for draw in 0..48 {
+                // Half the draws keep at least |L| rows, so both verdicts
+                // occur.
+                let low = if draw % 2 == 0 { 1 } else { links };
+                let mut rows: Vec<usize> = (0..sys.num_paths()).collect();
+                rows.shuffle(&mut rng);
+                rows.truncate(rng.gen_range(low..=sys.num_paths()));
+                rows.sort_unstable();
+                let paths: Vec<Path> = rows.iter().map(|&i| sys.paths()[i].clone()).collect();
+                let qr_rank = tomo_linalg::rank::rank(&build_routing_matrix(&paths, links));
+                let built =
+                    TomographySystem::new(sys.graph().clone(), sys.monitors().to_vec(), paths);
+                match built {
+                    Ok(built) => {
+                        assert_eq!(built.kernel(), KernelKind::Dense);
+                        assert_eq!(qr_rank, links, "accepted a rank-{qr_rank} R");
+                        accepted += 1;
+                    }
+                    Err(CoreError::NotIdentifiable { rank, links: l }) => {
+                        assert_eq!((rank, l), (qr_rank, links));
+                        rejected += 1;
+                    }
+                    Err(other) => panic!("expected NotIdentifiable, got {other:?}"),
+                }
+            }
+            assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! `IncrementalRank` tests rows against an orthonormal basis of the
 //! complement of the accepted span, and `yen_k_shortest` runs its spur
-//! searches as id-ordered BFS. Both must make exactly the decisions of
+//! searches as bounded, goal-directed id-ordered BFS in a reusable
+//! `KShortest` workspace. Both must make exactly the decisions of
 //! the implementations kept in [`reference`] — a modified Gram-Schmidt
 //! row basis and a Yen over a `(distance, node)`-heap Dijkstra — so every
 //! placement, and with it every seed-42 artifact, stays byte-identical.
@@ -15,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use scapegoat_tomography::core::placement::{random_placement, PlacementConfig};
 use scapegoat_tomography::core::selection::path_row;
 use scapegoat_tomography::graph::rocketfuel::from_cch_file;
+use scapegoat_tomography::graph::shortest::KShortest;
 use scapegoat_tomography::graph::{isp, rgg, shortest, waxman, Graph, NodeId};
 use scapegoat_tomography::linalg::rank::IncrementalRank;
 use scapegoat_tomography::linalg::Vector;
@@ -317,6 +319,65 @@ fn rocketfuel_placement_matches_reference() {
     assert!(rows > g.num_links());
 }
 
+/// A small seeded graph of one family — 0 ISP, 1 RGG, 2 Waxman — at a
+/// size where the reference Yen stays cheap.
+fn family_graph(family: u64, seed: u64) -> Graph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    match family {
+        0 => {
+            let config = isp::IspConfig {
+                backbone_nodes: 6,
+                backbone_chords: 3,
+                access_nodes: 30,
+                ..isp::IspConfig::default()
+            };
+            isp::generate(&config, &mut rng).unwrap()
+        }
+        1 => {
+            let config = rgg::RggConfig {
+                num_nodes: 40,
+                ..rgg::RggConfig::default()
+            };
+            config.generate(&mut rng).unwrap().graph
+        }
+        _ => {
+            let config = waxman::WaxmanConfig {
+                num_nodes: 40,
+                ..waxman::WaxmanConfig::default()
+            };
+            waxman::generate(&config, &mut rng).unwrap()
+        }
+    }
+}
+
+/// One `KShortest` reused across changing targets returns exactly what
+/// fresh calls (and the reference) return: the cached distances to the
+/// target must follow the target.
+#[test]
+fn reused_workspace_matches_fresh_calls_across_targets() {
+    for family in 0..3 {
+        for seed in 0..6 {
+            let g = family_graph(family, seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + 400);
+            let mut picked: Vec<NodeId> = g.nodes().collect();
+            picked.shuffle(&mut rng);
+            let [a, b, c, d, t1, t2, ..] = picked[..] else {
+                panic!("family {family} seed {seed}: fewer than 6 nodes");
+            };
+            let mut yen = KShortest::new(&g);
+            for (s, t) in [(a, t1), (b, t1), (c, t2), (d, t1), (t1, t2), (t2, a)] {
+                let reused = yen.paths(s, t, 8).unwrap();
+                assert_eq!(
+                    reused,
+                    shortest::yen_k_shortest(&g, s, t, 8).unwrap(),
+                    "family {family} seed {seed}: {s}->{t}"
+                );
+                assert_eq!(reused, reference::yen(&g, s, t, 8), "{s}->{t}");
+            }
+        }
+    }
+}
+
 /// The committed Fig. 7 artifact (`tomo-sim run fig7 --seed 42`) is
 /// reproduced byte for byte: six default placements feed it, so any
 /// changed path choice shows here.
@@ -334,6 +395,32 @@ fn fig7_artifact_is_pinned() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bounded, pruned Yen returns the reference's paths, path for
+    /// path, on ISP, RGG and Waxman graphs, for random pairs that often
+    /// end at a leaf and every `k` in 1..=12.
+    #[test]
+    fn bounded_yen_matches_reference(seed in 0u64..100_000) {
+        let g = family_graph(seed % 3, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let leaves: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v).unwrap() == 1).collect();
+        let pick = |rng: &mut ChaCha8Rng| match leaves.choose(rng) {
+            Some(&leaf) if rng.gen_bool(0.4) => leaf,
+            _ => NodeId(rng.gen_range(0..g.num_nodes())),
+        };
+        for _ in 0..8 {
+            let (s, t) = (pick(&mut rng), pick(&mut rng));
+            if s == t {
+                continue;
+            }
+            let k = rng.gen_range(1..=12);
+            prop_assert_eq!(
+                shortest::yen_k_shortest(&g, s, t, k).unwrap(),
+                reference::yen(&g, s, t, k),
+                "family {} {}->{} k={}", seed % 3, s, t, k
+            );
+        }
+    }
 
     /// Random 0/1 rows interleaved with exact sums of accepted rows: both
     /// trackers give the same verdict on every row, and every sum is
